@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
@@ -33,6 +34,17 @@ _SHAPE_FLAGS = {
     "rectangle": ("n_lo", "n_hi", "y_lo", "y_hi"),
     "segment": ("n0", "y_lo", "y_hi"),
 }
+
+
+def _finite_float(text: str) -> float:
+    """Argument type: a finite float (``nan`` and ``inf`` are refused)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"value violates finiteness: got {text!r}")
+    return value
 
 
 def _fmt(value: Any) -> str:
@@ -269,9 +281,9 @@ def _add_shape_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--shape-config", metavar="PATH", help="key = value shape file")
     group.add_argument("--kind", choices=sorted(_SHAPE_FLAGS), help="inline shape kind")
     for name in ("eta0_lo", "eta0_hi", "a", "b", "y_c", "n_lo", "n_hi", "y_lo", "y_hi", "n0"):
-        group.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
-    group.add_argument("--shift0", type=float, help="pre-applied translation, first axis")
-    group.add_argument("--shift1", type=float, help="pre-applied translation, second axis")
+        group.add_argument(f"--{name.replace('_', '-')}", dest=name, type=_finite_float)
+    group.add_argument("--shift0", type=_finite_float, help="pre-applied translation, first axis")
+    group.add_argument("--shift1", type=_finite_float, help="pre-applied translation, second axis")
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -291,41 +303,41 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="posterior mean bounds for one observation record")
     _add_shape_flags(p)
     _add_common_flags(p)
-    p.add_argument("--n", type=float)
-    p.add_argument("--s", type=float)
+    p.add_argument("--n", type=_finite_float)
+    p.add_argument("--s", type=_finite_float)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("sweep", help="bounds table over a range of success counts")
     _add_shape_flags(p)
     _add_common_flags(p)
-    p.add_argument("--n", type=float)
-    p.add_argument("--s-from", dest="s_from", type=float)
-    p.add_argument("--s-to", dest="s_to", type=float)
-    p.add_argument("--s-step", dest="s_step", type=float, default=1.0)
+    p.add_argument("--n", type=_finite_float)
+    p.add_argument("--s-from", dest="s_from", type=_finite_float)
+    p.add_argument("--s-to", dest="s_to", type=_finite_float)
+    p.add_argument("--s-step", dest="s_step", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("credibility", help="union of central credibility intervals")
     _add_shape_flags(p)
     _add_common_flags(p)
-    p.add_argument("--n", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--n", type=_finite_float)
+    p.add_argument("--s", type=_finite_float)
+    p.add_argument("--gamma", type=_finite_float)
     p.set_defaults(func=_cmd_credibility)
 
     p = sub.add_parser("thresholds", help="sticking thresholds and terminal slopes")
     _add_shape_flags(p)
     _add_common_flags(p)
-    p.add_argument("--n", type=float)
+    p.add_argument("--n", type=_finite_float)
     p.set_defaults(func=_cmd_thresholds)
 
     p = sub.add_parser("transform", help="convert between parametrizations")
     _add_common_flags(p)
-    p.add_argument("--n0", type=float)
-    p.add_argument("--y0", type=float)
-    p.add_argument("--eta0", type=float)
-    p.add_argument("--eta1", type=float)
-    p.add_argument("--n", type=float)
-    p.add_argument("--s", type=float)
+    p.add_argument("--n0", type=_finite_float)
+    p.add_argument("--y0", type=_finite_float)
+    p.add_argument("--eta0", type=_finite_float)
+    p.add_argument("--eta1", type=_finite_float)
+    p.add_argument("--n", type=_finite_float)
+    p.add_argument("--s", type=_finite_float)
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("validate", help="check a set against the admissible wedge")

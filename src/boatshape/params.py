@@ -15,6 +15,7 @@ proper prior lives strictly inside the wedge ``eta0 > -2``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
@@ -22,6 +23,13 @@ from .errors import InvalidParameterError
 #: The common origin of all constant-mean rays (and the rotation center for
 #: skewed prior sets).
 APEX = (-2.0, 0.0)
+
+
+def _require_finite(what: str, **fields: float) -> None:
+    """Reject NaN and infinite fields, naming the first one that fails."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{what} violates finite {name}: got {value}")
 
 
 @dataclass(frozen=True)
@@ -32,6 +40,7 @@ class CanonicalParams:
     y0: float
 
     def __post_init__(self) -> None:
+        _require_finite("prior", n0=self.n0, y0=self.y0)
         if not self.n0 > 0.0:
             raise InvalidParameterError(f"prior strength violates n0 > 0: got {self.n0}")
         if not 0.0 < self.y0 < 1.0:
@@ -46,6 +55,7 @@ class EtaPoint:
     eta1: float
 
     def __post_init__(self) -> None:
+        _require_finite("coordinates", eta0=self.eta0, eta1=self.eta1)
         if not in_domain(self.eta0, self.eta1):
             raise InvalidParameterError(
                 "coordinates violate eta0 > -2, |eta1| < (eta0 + 2)/2: "
@@ -61,6 +71,7 @@ class BinomialData:
     s: float
 
     def __post_init__(self) -> None:
+        _require_finite("observation", n=self.n, s=self.s)
         if not self.n >= 0.0:
             raise InvalidParameterError(f"trial count violates n >= 0: got {self.n}")
         if not 0.0 <= self.s <= self.n:

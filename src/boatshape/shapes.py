@@ -28,7 +28,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import InvalidParameterError
-from .params import BinomialData, EtaPoint
+from .params import BinomialData, EtaPoint, _require_finite
 
 #: Samples per boundary piece used to estimate arc length for the closed
 #: boundary parametrization.
@@ -51,6 +51,9 @@ class BoatshapeSpec:
     y_c: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "boat", eta0_lo=self.eta0_lo, eta0_hi=self.eta0_hi, a=self.a, b=self.b, y_c=self.y_c
+        )
         if not self.eta0_lo > -2.0:
             raise InvalidParameterError(f"bow violates eta0_lo > -2: got {self.eta0_lo}")
         if not self.eta0_hi > self.eta0_lo:
@@ -75,6 +78,9 @@ class RectangleSpec:
     y_hi: float
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "rectangle", n_lo=self.n_lo, n_hi=self.n_hi, y_lo=self.y_lo, y_hi=self.y_hi
+        )
         if not 0.0 < self.n_lo <= self.n_hi:
             raise InvalidParameterError(
                 f"strength range violates 0 < n_lo <= n_hi: got [{self.n_lo}, {self.n_hi}]"
@@ -94,6 +100,7 @@ class LineSegmentSpec:
     y_hi: float
 
     def __post_init__(self) -> None:
+        _require_finite("segment", n0=self.n0, y_lo=self.y_lo, y_hi=self.y_hi)
         if not self.n0 > 0.0:
             raise InvalidParameterError(f"strength violates n0 > 0: got {self.n0}")
         if not 0.0 < self.y_lo <= self.y_hi < 1.0:
@@ -118,6 +125,7 @@ class EtaSet:
     shift: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
+        _require_finite("accumulated shift", d0=self.shift[0], d1=self.shift[1])
         if not self.shift[0] >= 0.0:
             raise InvalidParameterError(
                 f"accumulated shift violates d0 >= 0: got {self.shift[0]}"

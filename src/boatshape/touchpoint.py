@@ -210,6 +210,16 @@ def solve_prior_upper_touchpoint(spec: BoatshapeSpec) -> float:
     return _axis_frame(spec, 0.0, 0.0)[3]
 
 
+def _symmetry_shift(spec: BoatshapeSpec, d: BinomialData) -> tuple[float, float]:
+    """The data shift ``(n, s - n/2)`` pulled back into the boat's symmetry
+    frame.  Rotation about the apex maps apex rays to apex rays, so the
+    touchpoints and their sticking are those of the unrotated boat moved by
+    this shift."""
+    c, sn = _rotation_cs(spec.y_c)
+    d0, d1 = d.n, d.s - 0.5 * d.n
+    return c * d0 + sn * d1, -sn * d0 + c * d1
+
+
 def solve_posterior_touchpoints(
     spec: BoatshapeSpec, d: BinomialData
 ) -> tuple[float, float]:
@@ -218,13 +228,13 @@ def solve_posterior_touchpoints(
     Both equal each other for balanced data ``s = n/2``; data below ``n/2``
     are handled by the mirror symmetry of the contours.
     """
-    out = _axis_frame(spec, d.n, d.s - 0.5 * d.n)
+    out = _axis_frame(spec, *_symmetry_shift(spec, d))
     return out[2], out[3]
 
 
 def learning_phase(spec: BoatshapeSpec, d: BinomialData) -> LearningPhase:
-    """Classify an update of the symmetric boat by its touchpoint sticking."""
-    _, _, _, _, up, low = _axis_frame(spec, d.n, d.s - 0.5 * d.n)
+    """Classify an update of the boat by its touchpoint sticking."""
+    _, _, _, _, up, low = _axis_frame(spec, *_symmetry_shift(spec, d))
     return _phase(up, low)
 
 

@@ -268,5 +268,19 @@ class TestConfigAndOutput:
         assert code == 3
         assert "synthetic failure" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", *SEGMENT_FLAGS, "--n", "4", "--s-step", "nan"],
+            ["thresholds", *LONG_BOAT_FLAGS, "--n", "inf"],
+            ["bounds", *SEGMENT_FLAGS, "--n", "4", "--s", "2", "--shift1=-inf"],
+        ],
+    )
+    def test_non_finite_flag_exits_2(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2

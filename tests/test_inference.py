@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import betainc as scipy_betainc
+from scipy.special import betaincinv as scipy_betaincinv
 
 from boatshape import (
     BetaShape,
@@ -113,9 +114,62 @@ class TestQuantile:
             p = beta_quantile(shape, q)
             assert beta_cdf(shape, p) == pytest.approx(q, abs=1e-9)
 
+    def test_quantile_below_smallest_float(self):
+        # the 1e-5 quantile of Beta(0.01, 5) is about 1e-500: the answer is
+        # the smallest positive float, not an error
+        p = beta_quantile(BetaShape(0.01, 5.0), 1e-5)
+        assert 0.0 < p <= float(scipy_betaincinv(0.01, 5.0, 1e-5))
+
     def test_level_domain(self):
         with pytest.raises(InvalidParameterError):
             beta_quantile(BetaShape(2.0, 2.0), 0.0)
+
+
+#: Large and lopsided shapes: both routes of the incomplete beta function
+#: (quadrature near the mean when both shapes are >= 1000, the continued
+#: fraction elsewhere), up to a, b = 1e8.
+LARGE_SHAPES = [
+    (1e3, 1e3), (1e5, 1e5), (1e7, 1e7), (1e8, 1e8),
+    (2e3, 1e8), (1e8, 2.5e7), (5e6 + 3.5, 5e6 - 2.0), (1e8, 40.0),
+]
+
+
+def mean_sd(a: float, b: float) -> tuple[float, float]:
+    return a / (a + b), math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+
+
+class TestLargeShapes:
+    @pytest.mark.parametrize("a,b", LARGE_SHAPES)
+    def test_cdf_against_scipy(self, a, b):
+        mean, sd = mean_sd(a, b)
+        points = [mean + k * sd for k in (-5.0, -1.0, -0.01, 0.01, 1.0, 5.0)] + [0.5001]
+        for p in points:
+            assert abs(beta_cdf(BetaShape(a, b), p) - float(scipy_betainc(a, b, p))) <= 1e-12, p
+
+    @pytest.mark.parametrize("a,b", LARGE_SHAPES)
+    def test_quantile_against_scipy(self, a, b):
+        shape = BetaShape(a, b)
+        for q in (1e-3, 0.25, 0.5, 0.75, 0.999):
+            ref = float(scipy_betaincinv(a, b, q))
+            # what a CDF residual of 1e-12 allows, or the float grid where the
+            # CDF rises by more than that from one float to the next
+            slack = max(1e-12 / math.exp(beta_log_pdf(shape, ref)), 2.0 * np.spacing(ref))
+            assert abs(beta_quantile(shape, q) - ref) <= slack, q
+
+    @pytest.mark.parametrize("a,b", [(1e5, 1e5), (1e7, 1e7), (3e7, 7e7), (40.0, 1e8)])
+    def test_log_pdf_integrates_to_cdf(self, a, b):
+        # 40-point Gauss-Legendre over mean +- 1 sd is exact far below the
+        # tolerance; a normalizer that lost digits shows as a relative offset.
+        # (The lopsided case keeps its mass near 0, where the float grid of
+        # the nodes is fine enough.)
+        mean, sd = mean_sd(a, b)
+        lo, hi = mean - sd, mean + sd
+        nodes, weights = np.polynomial.legendre.leggauss(40)
+        xs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        density = np.array([math.exp(beta_log_pdf(BetaShape(a, b), float(x))) for x in xs])
+        integral = 0.5 * (hi - lo) * float(density @ weights)
+        expected = float(scipy_betainc(a, b, hi) - scipy_betainc(a, b, lo))
+        assert integral == pytest.approx(expected, rel=1e-11)
 
 
 def canonical_route_bounds(set_: EtaSet, d: BinomialData) -> tuple[float, float]:
@@ -339,3 +393,48 @@ class TestCredibilityUnion:
     def test_gamma_domain(self):
         with pytest.raises(InvalidParameterError):
             credibility_union(segment_set(2.0, 0.4, 0.6), BinomialData(0, 0), 1.0)
+
+    @pytest.mark.parametrize("n", [1e6, 1e7])
+    @pytest.mark.parametrize("frac", [0.5, 0.7])
+    def test_large_n_against_scipy_boundary_sample(self, n, frac):
+        boat = boat_set(-1.0, 20.0, 1.0, 0.4)  # configs/boat_long.cfg
+        d = BinomialData(n, frac * n)
+        union = credibility_union(boat, d, 0.5)
+        x, y = _boundary_xy(updated(boat, d), np.arange(4000) / 4000.0)
+        half = 0.5 * (x + 2.0)
+        ref_lo = float(np.min(scipy_betaincinv(half + y, half - y, 0.25)))
+        ref_hi = float(np.max(scipy_betaincinv(half + y, half - y, 0.75)))
+        assert union.lo == pytest.approx(ref_lo, abs=1e-6)
+        assert union.hi == pytest.approx(ref_hi, abs=1e-6)
+        # the sample is an inner approximation of the union
+        assert union.lo <= ref_lo + 1e-12 and union.hi >= ref_hi - 1e-12
+
+    @pytest.mark.parametrize("n,s", [(10.0, 5.0), (10.0, 8.0)])
+    def test_rectangle_union_at_corner(self, n, s):
+        # configs/boat_long_rect.cfg; a dense boundary scan puts both
+        # extremes at corners for these data
+        n_lo, n_hi, y_lo, y_hi = 1.0, 22.0, 0.316408696364, 0.683591303636
+        union = credibility_union(rectangle_set(n_lo, n_hi, y_lo, y_hi), BinomialData(n, s), 0.5)
+        corners = [(n0, y0) for n0 in (n_lo, n_hi) for y0 in (y_lo, y_hi)]
+        alpha = np.array([n0 * y0 + s for n0, y0 in corners])
+        beta = np.array([n0 * (1.0 - y0) + n - s for n0, y0 in corners])
+        assert union.lo == pytest.approx(np.min(scipy_betaincinv(alpha, beta, 0.25)), abs=1e-12)
+        assert union.hi == pytest.approx(np.max(scipy_betaincinv(alpha, beta, 0.75)), abs=1e-12)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_shape_rejected(self, field, bad):
+        with pytest.raises(InvalidParameterError, match=f"finite {field}: got"):
+            BetaShape(**{"alpha": 2.0, "beta": 3.0, field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_function_arguments_rejected(self, bad):
+        shape = BetaShape(2.0, 3.0)
+        with pytest.raises(InvalidParameterError, match="CDF argument violates"):
+            beta_cdf(shape, bad)
+        with pytest.raises(InvalidParameterError, match="quantile level violates"):
+            beta_quantile(shape, bad)
+        with pytest.raises(InvalidParameterError, match="density argument violates"):
+            beta_log_pdf(shape, bad)

@@ -1,5 +1,7 @@
 """Parametrization charts, domain checks, and update maps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,24 @@ class TestDomain:
             BinomialData(-1.0, 0.0)
         with pytest.raises(InvalidParameterError):
             BinomialData(4.0, 5.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["n", "s"])
+    def test_non_finite_data(self, field, bad):
+        with pytest.raises(InvalidParameterError, match=f"finite {field}: got"):
+            BinomialData(**{"n": 4.0, "s": 2.0, field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["n0", "y0"])
+    def test_non_finite_canonical(self, field, bad):
+        with pytest.raises(InvalidParameterError, match=f"finite {field}: got"):
+            CanonicalParams(**{"n0": 2.0, "y0": 0.5, field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["eta0", "eta1"])
+    def test_non_finite_eta(self, field, bad):
+        with pytest.raises(InvalidParameterError, match=f"finite {field}: got"):
+            EtaPoint(**{"eta0": 0.0, "eta1": 0.0, field: bad})
 
 
 class TestRays:

@@ -207,6 +207,32 @@ class TestUpdating:
         with pytest.raises(InvalidParameterError):
             EtaSet(LineSegmentSpec(2.0, 0.4, 0.6), shift=(-1.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_shift_rejected(self, axis, bad):
+        shift = [1.0, 0.0]
+        shift[axis] = bad
+        with pytest.raises(InvalidParameterError, match=f"finite d{axis}: got"):
+            EtaSet(LineSegmentSpec(2.0, 0.4, 0.6), shift=tuple(shift))
+
+
+VALID_SPECS = [
+    (BoatshapeSpec, dict(SMALL_BOAT, y_c=0.5)),
+    (RectangleSpec, dict(n_lo=1.0, n_hi=3.0, y_lo=0.3, y_hi=0.6)),
+    (LineSegmentSpec, dict(n0=2.0, y_lo=0.4, y_hi=0.6)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls,field",
+    [(cls, field) for cls, fields in VALID_SPECS for field in fields],
+)
+def test_non_finite_spec_field_rejected(cls, field, bad):
+    kwargs = dict(dict(VALID_SPECS)[cls], **{field: bad})
+    with pytest.raises(InvalidParameterError, match=f"finite {field}: got"):
+        cls(**kwargs)
+
 
 class TestValidation:
     def test_long_boat_ok(self):

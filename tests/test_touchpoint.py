@@ -27,6 +27,8 @@ from conftest import random_boat_spec
 
 SMALL_BOAT = BoatshapeSpec(eta0_lo=1.0, eta0_hi=6.0, a=1.5, b=0.9)
 LONG_BOAT = BoatshapeSpec(eta0_lo=-1.0, eta0_hi=20.0, a=1.0, b=0.4)
+#: configs/boat_skewed.cfg: the long boat rotated onto the y_c = 0.75 ray
+SKEWED_BOAT = BoatshapeSpec(eta0_lo=-1.0, eta0_hi=20.0, a=1.0, b=0.4, y_c=0.75)
 
 # Frozen by a 200-step bisection of the prior tangency residual on
 # [eta0_lo + 1e-9, 100] (see test_prior_root_matches_bisection_oracle).
@@ -104,6 +106,28 @@ class TestPosteriorTouchpoints:
     def test_small_boat_conflict_clamps_lower_at_stern(self):
         tp_lo, _ = solve_posterior_touchpoints(SMALL_BOAT, BinomialData(4.0, 4.0))
         assert tp_lo == SMALL_BOAT.eta0_hi + 4.0 == 10.0
+
+    @pytest.mark.parametrize("n,s", [(10.0, 5.0), (10.0, 8.0), (4.0, 1.0), (100.0, 60.0)])
+    def test_rotated_boat_touchpoints_attain_shadow(self, n, s):
+        # the touchpoints are symmetry-frame abscissae: put each on its
+        # contour in the data-shifted symmetry frame, rotate it about the apex
+        # and read off its prior mean
+        theta = math.atan(SKEWED_BOAT.y_c - 0.5)
+        c, sn = math.cos(theta), math.sin(theta)
+        d = BinomialData(n, s)
+        d0 = c * n + sn * (s - 0.5 * n)
+        d1 = -sn * n + c * (s - 0.5 * n)
+
+        def mean_on_contour(x: float, side: float) -> float:
+            bow = SKEWED_BOAT.eta0_lo + d0
+            y = d1 + side * SKEWED_BOAT.a * (1.0 - math.exp(-SKEWED_BOAT.b * (x - bow)))
+            ex, ey = -2.0 + c * (x + 2.0) - sn * y, sn * (x + 2.0) + c * y
+            return ey / (ex + 2.0) + 0.5
+
+        tp_lo, tp_hi = solve_posterior_touchpoints(SKEWED_BOAT, d)
+        expected = shadow(updated(EtaSet(SKEWED_BOAT), d))
+        assert mean_on_contour(tp_lo, -1.0) == pytest.approx(expected.y_lo, abs=1e-9)
+        assert mean_on_contour(tp_hi, 1.0) == pytest.approx(expected.y_hi, abs=1e-9)
 
     def test_far_shifted_set_always_stern_clamped(self):
         rng = np.random.default_rng(23)
@@ -216,6 +240,13 @@ class TestLearningPhase:
         assert learning_phase(LONG_BOAT, BinomialData(10, 9.7)) is LearningPhase.UNHAPPY_BOTH
         assert learning_phase(LONG_BOAT, BinomialData(10, 1)) is LearningPhase.UNHAPPY_UPPER
         assert learning_phase(LONG_BOAT, BinomialData(10, 0.3)) is LearningPhase.UNHAPPY_BOTH
+
+    @pytest.mark.parametrize("n", [4.0, 10.0, 100.0])
+    def test_rotated_boat_matches_shadow(self, n):
+        for s in np.linspace(0.0, n, 21):
+            d = BinomialData(n, float(s))
+            expected = shadow(updated(EtaSet(SKEWED_BOAT), d)).phase
+            assert learning_phase(SKEWED_BOAT, d) is expected, f"s = {s}"
 
     def test_no_data_prior_phase(self):
         rng = np.random.default_rng(30)
