@@ -126,10 +126,9 @@ def _require(args, *names: str) -> None:
 
 
 def _boat_extras(set_: EtaSet, n: float) -> tuple[float | None, float | None]:
-    """Sticking thresholds for axis-symmetric boats; blank otherwise."""
-    spec = set_.spec
-    if isinstance(spec, BoatshapeSpec) and spec.y_c == 0.5:
-        th = agreement_thresholds(spec, n)
+    """Sticking thresholds for boats; blank for shapes without them."""
+    if isinstance(set_.spec, BoatshapeSpec):
+        th = agreement_thresholds(set_.spec, n)
         return th.s_u, th.s_l
     return None, None
 
@@ -229,12 +228,11 @@ def _cmd_thresholds(args) -> int:
         raise InvalidParameterError("thresholds are defined for boat shapes only")
     th = agreement_thresholds(set_.spec, args.n)
     upper_slope, lower_slope = terminal_slopes(set_.spec, args.n)
-    happy_hi = min(th.s_u, th.s_l)
     row = {
         "s_u": th.s_u,
         "s_l": th.s_l,
-        "happy_lo": args.n - happy_hi,
-        "happy_hi": happy_hi,
+        "happy_lo": th.happy_lo,
+        "happy_hi": th.happy_hi,
         "upper_slope": upper_slope,
         "lower_slope": lower_slope,
     }

@@ -19,13 +19,14 @@ refinement of the sub-arc around each extreme.
 The regularized incomplete beta function ``I_x(a, b)`` takes one of two
 routes, chosen from the input.  Large shapes near the mean integrate the
 density over the tail beyond ``x`` by Gauss-Legendre quadrature; everywhere
-else the classical continued fraction (modified Lentz) converges within tens
-of terms.  Both multiply by the front factor ``x^a (1-x)^b / B(a, b)``, which
-is expanded about the mean with Stirling corrections and ``log1p(u) - u`` so
-that it keeps its digits at large shapes (Didonato & Morris, Algorithm 708,
-ACM TOMS 18(3), 1992).  Quantiles invert the CDF with a bracketed Newton
-iteration from a Cornish-Fisher start.  All of these accept arrays and
-iterate only the lanes that have not converged yet.
+else the continued fraction BFRAC of Didonato & Morris (Algorithm 708, ACM
+TOMS 18(3), 1992), taken on the side of the mean where it converges, needs
+tens of terms.  Both multiply by the front factor ``x^a (1-x)^b / B(a, b)``,
+which is expanded about the mean with Stirling corrections and
+``log1p(u) - u`` so that it keeps its digits at large shapes.  Quantiles
+invert the CDF with a bracketed Newton iteration from a Cornish-Fisher start.
+All of these accept arrays and iterate only the lanes that have not
+converged yet.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -33,7 +33,7 @@ from .params import BinomialData, EtaPoint, _require_finite
 #: Samples per boundary piece used to estimate arc length for the closed
 #: boundary parametrization.
 _ARC_NODES = np.linspace(0.0, 1.0, 1024)
-#: Coarse boundary scan density used by the numeric optimizers.
+#: Coarse boundary scan density of the rectangle and segment shadow optimizer.
 _SCAN = 4096
 #: Slack applied to the defining inequalities of membership tests so that
 #: boundary points survive floating round-off.
@@ -190,10 +190,16 @@ class _Geometry:
             self.corner_ts = self.starts / self.total
         else:
             self.corner_ts = np.zeros(1)
-        self.scan_ts = np.unique(
-            np.concatenate([np.arange(_SCAN) / _SCAN, self.corner_ts])
-        )
-        self.scan_xy = self.points(self.scan_ts)
+
+    @cached_property
+    def scan_ts(self) -> np.ndarray:
+        """Coarse scan parameters, corners included; built on first use (only
+        the numeric shadow of rectangles and segments reads them)."""
+        return np.unique(np.concatenate([np.arange(_SCAN) / _SCAN, self.corner_ts]))
+
+    @cached_property
+    def scan_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.points(self.scan_ts)
 
     def points(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ts = np.asarray(ts, dtype=float) % 1.0

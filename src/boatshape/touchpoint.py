@@ -16,9 +16,13 @@ bound grows linearly in the data.  Interior touchpoints on both sides are
 "happy learning"; a touchpoint stuck at an end is "unhappy" (prior-data
 conflict has taken over that bound).
 
-Rotated boats, rectangles, and segments take a numeric route: a dense scan of
-the boundary (the objective is constant on apex rays, so extrema are attained
-there) refined by golden-section search.
+A rotated boat is solved in its symmetry frame: rotation about the apex maps
+apex rays to apex rays, so the data shift is pulled back by the rotation and
+each axis-frame bound's angle is turned by ``atan(y_c - 1/2)``.  The sticking
+conditions are affine in ``s`` there, so every boat's thresholds are closed forms.
+
+Only rectangles and segments take a numeric route: a dense boundary scan (the
+objective is constant on apex rays) refined by golden-section search.
 """
 
 from __future__ import annotations
@@ -31,14 +35,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericError
 from .params import BinomialData
-from .shapes import (
-    BoatshapeSpec,
-    EtaSet,
-    LineSegmentSpec,
-    _boundary_xy,
-    _rotation_cs,
-    _scan_xy,
-)
+from .shapes import BoatshapeSpec, EtaSet, LineSegmentSpec, _boundary_xy, _rotation_cs, _scan_xy
 
 _ROOT_TOL = 1e-12
 _MAX_ITER = 200
@@ -46,6 +43,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: Proximity (in abscissa) at which a numerically located extremizer counts
 #: as stuck at a set end.
 _END_TOL_SCALE = 1e-6
+#: Half-angle of the admissible wedge ``|eta1| < (eta0 + 2) / 2`` at the apex.
+_HALF_ANGLE = math.atan(0.5)
 
 
 class LearningPhase(Enum):
@@ -68,15 +67,20 @@ class ShadowResult:
 
 @dataclass(frozen=True)
 class AgreementThresholds:
-    """Smallest ``s >= n/2`` at which each touchpoint sticks to a set end.
+    """Where each touchpoint first sticks above ``n * y_c``, and the window of
+    strong prior-data agreement.
 
-    ``s_u``: the upper touchpoint reaches the bow; ``s_l``: the lower
-    touchpoint reaches the stern.  Values equal ``n`` when no sticking occurs
-    within the feasible data range.
+    ``s_u``: the upper touchpoint reaches the bow; ``s_l``: the lower one
+    reaches the stern; ``n`` when that never happens.  Both touchpoints are
+    interior for ``happy_lo < s < happy_hi = min(s_u, s_l)``; below ``n * y_c``
+    the mirrored pair sets ``happy_lo`` (``0`` when neither sticks).  For
+    ``y_c = 1/2`` the window is ``[n - t, t]`` with ``t = min(s_u, s_l)``.
     """
 
     s_u: float
     s_l: float
+    happy_lo: float
+    happy_hi: float
 
 
 def _tangency_g(F: float, b: float, L: float, x: float) -> float:
@@ -158,30 +162,21 @@ def _axis_frame(
     R = spec.eta0_hi + d0
 
     # Upper touchpoint: the crossing moves left as d1 grows and sticks at the
-    # bow once the affine side starts below the exponential there.
+    # bow once the affine side starts below the exponential there; a tangency
+    # beyond the stern leaves the stern corner in charge.
     upper_stuck = d1 >= a * b * (L + 2.0)
+    F = a / (d1 + a)
     if upper_stuck:
         tp_hi = L
+    elif _tangency_g(F, b, L, R) <= 0.0:
+        tp_hi = R
     else:
-        F = a / (d1 + a)
-        if _tangency_g(F, b, L, R) <= 0.0:
-            tp_hi = R  # tangency beyond the stern; the stern corner rules
-        else:
-            tp_hi = _tangency_root(F, b, L, L, R)
+        tp_hi = _tangency_root(F, b, L, L, R)
 
     # Lower touchpoint: the crossing moves right and sticks at the stern; for
     # d1 >= a the whole set sits above the axis and no crossing exists at all.
-    if d1 >= a:
-        tp_lo = R
-        lower_stuck = True
-    else:
-        F = a / (a - d1)
-        if _tangency_g(F, b, L, R) <= 0.0:
-            tp_lo = R
-            lower_stuck = True
-        else:
-            tp_lo = _tangency_root(F, b, L, L, R)
-            lower_stuck = False
+    lower_stuck = d1 >= a or _tangency_g(a / (a - d1), b, L, R) <= 0.0
+    tp_lo = R if lower_stuck else _tangency_root(a / (a - d1), b, L, L, R)
 
     def contour(x: float) -> float:
         return a * (1.0 - math.exp(-b * (x - L)))
@@ -210,13 +205,11 @@ def solve_prior_upper_touchpoint(spec: BoatshapeSpec) -> float:
     return _axis_frame(spec, 0.0, 0.0)[3]
 
 
-def _symmetry_shift(spec: BoatshapeSpec, d: BinomialData) -> tuple[float, float]:
-    """The data shift ``(n, s - n/2)`` pulled back into the boat's symmetry
-    frame.  Rotation about the apex maps apex rays to apex rays, so the
-    touchpoints and their sticking are those of the unrotated boat moved by
-    this shift."""
+def _pullback(spec: BoatshapeSpec, d0: float, d1: float) -> tuple[float, float]:
+    """A shift ``(d0, d1)`` pulled back into the boat's symmetry frame.
+    Rotation about the apex maps apex rays to apex rays, so the touchpoints
+    and their sticking are those of the unrotated boat moved by this shift."""
     c, sn = _rotation_cs(spec.y_c)
-    d0, d1 = d.n, d.s - 0.5 * d.n
     return c * d0 + sn * d1, -sn * d0 + c * d1
 
 
@@ -225,64 +218,76 @@ def solve_posterior_touchpoints(
 ) -> tuple[float, float]:
     """Lower and upper posterior touchpoint abscissae in the symmetry frame.
 
-    Both equal each other for balanced data ``s = n/2``; data below ``n/2``
+    Both equal each other for balanced data ``s = n * y_c``; data below it
     are handled by the mirror symmetry of the contours.
     """
-    out = _axis_frame(spec, *_symmetry_shift(spec, d))
+    out = _axis_frame(spec, *_pullback(spec, d.n, d.s - 0.5 * d.n))
     return out[2], out[3]
 
 
 def learning_phase(spec: BoatshapeSpec, d: BinomialData) -> LearningPhase:
     """Classify an update of the boat by its touchpoint sticking."""
-    _, _, _, _, up, low = _axis_frame(spec, *_symmetry_shift(spec, d))
+    _, _, _, _, up, low = _axis_frame(spec, *_pullback(spec, d.n, d.s - 0.5 * d.n))
     return _phase(up, low)
 
 
-def _smallest_sticking_s(pred, n: float, tol: float = 1e-9) -> float:
-    lo, hi = 0.5 * n, n
-    if pred(lo):
-        return lo
-    if not pred(hi):
-        return n
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _first_sticking(spec: BoatshapeSpec, n: float, tilt: float) -> tuple[float, float]:
+    """First ``s >= n (1/2 + tilt)`` at which, for the boat rotated onto the
+    ``1/2 + tilt`` ray, the upper touchpoint sticks at the bow and the lower
+    one at the stern (``n`` where it never does).
 
-
-def agreement_thresholds(spec: BoatshapeSpec, n: float) -> AgreementThresholds:
-    """Data thresholds where each touchpoint first sticks, by bisection in ``s``.
-
-    Sticking is monotone in ``s`` on ``[n/2, n]``, so bisection on the solver's
-    own sticking flag isolates each threshold to 1e-9.  The happy-learning
-    window for ``n`` trials is ``[n - t, t]`` with ``t = min(s_u, s_l)``.
+    In the symmetry frame ``p0 = c n + sn u`` and ``p1 = -sn n + c u`` are
+    affine in ``u = s - n/2``, and so are the sticking conditions of
+    :func:`_axis_frame` for ``p1 >= 0``, that is ``u >= n tilt``:
+    ``p1 >= a b (eta0_lo + 2 + p0)`` and, with ``e = exp(-b (eta0_hi - eta0_lo))``,
+    ``p1 >= a (1 - e (1 + b (eta0_hi + 2 + p0)))``.  Each reads ``k u >= m``.
     """
-    if not n >= 0.0:
-        raise InvalidParameterError(f"trial count violates n >= 0: got {n}")
+    theta = math.atan(tilt)
+    c, sn = math.cos(theta), math.sin(theta)
+    a, b, u0 = spec.a, spec.b, n * tilt
+    ab, e = a * b, math.exp(-b * (spec.eta0_hi - spec.eta0_lo))
 
-    def upper(s: float) -> bool:
-        return _axis_frame(spec, n, s - 0.5 * n)[4]
+    def first(k: float, m: float) -> float:
+        if k * u0 >= m:
+            return 0.5 * n + u0
+        if k > 0.0 and m <= 0.5 * n * k:
+            return min(0.5 * n + m / k, n)
+        return n  # k <= 0: k u only falls from u0 on
 
-    def lower(s: float) -> bool:
-        return _axis_frame(spec, n, s - 0.5 * n)[5]
-
-    return AgreementThresholds(
-        s_u=_smallest_sticking_s(upper, n), s_l=_smallest_sticking_s(lower, n)
+    return (
+        first(c - ab * sn, sn * n + ab * (spec.eta0_lo + 2.0 + c * n)),
+        first(c + ab * e * sn, sn * n + a * (1.0 - e * (1.0 + b * (spec.eta0_hi + 2.0 + c * n)))),
     )
 
 
-def terminal_slopes(spec: BoatshapeSpec, n: float) -> tuple[float, float]:
-    """Slopes of the two shadow bounds once both touchpoints are stuck.
+def agreement_thresholds(spec: BoatshapeSpec, n: float) -> AgreementThresholds:
+    """Data thresholds where each touchpoint first sticks, in closed form.
 
-    The upper bound then rides the bow, the lower bound the stern, giving
-    slopes ``1/(eta0_lo + n + 2)`` and ``1/(eta0_hi + n + 2)``.
+    Above ``n * y_c`` see :func:`_first_sticking`.  Below it, reflecting
+    ``eta1 -> -eta1`` maps the boat onto the ``1 - y_c`` ray and ``s`` onto
+    ``n - s``, so ``happy_lo`` is ``n`` minus that boat's first sticking point.
     """
     if not n >= 0.0:
         raise InvalidParameterError(f"trial count violates n >= 0: got {n}")
-    return 1.0 / (spec.eta0_lo + n + 2.0), 1.0 / (spec.eta0_hi + n + 2.0)
+    s_u, s_l = _first_sticking(spec, n, spec.y_c - 0.5)
+    happy_lo = n - min(_first_sticking(spec, n, 0.5 - spec.y_c))
+    return AgreementThresholds(s_u, s_l, happy_lo, min(s_u, s_l))
+
+
+def terminal_slopes(spec: BoatshapeSpec, n: float) -> tuple[float, float]:
+    """Slopes of the two shadow bounds once both touchpoints are stuck above
+    ``n * y_c``.
+
+    The upper bound then rides the bow and the lower bound the lower stern
+    corner, both rotated onto the ``y_c`` ray: with ``(c, sn)`` the cosine and
+    sine of ``atan(y_c - 1/2)``, ``1/(c (eta0_lo + 2) + n)`` and
+    ``1/(c (eta0_hi + 2) + sn a (1 - exp(-b (eta0_hi - eta0_lo))) + n)``.
+    """
+    if not n >= 0.0:
+        raise InvalidParameterError(f"trial count violates n >= 0: got {n}")
+    c, sn = _rotation_cs(spec.y_c)
+    stern = -spec.a * math.expm1(-spec.b * (spec.eta0_hi - spec.eta0_lo))
+    return 1.0 / (c * (spec.eta0_lo + 2.0) + n), 1.0 / (c * (spec.eta0_hi + 2.0) + sn * stern + n)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-13) -> tuple[float, float]:
@@ -329,66 +334,60 @@ def _boundary_extremum(set_: EtaSet, sign: float) -> tuple[float, tuple[float, f
     return sign * f_best, (float(xx[0]), float(yy[0]))
 
 
-def _domain_guard(set_: EtaSet, samples: int = 256) -> None:
-    ts = np.arange(samples) / samples
-    x, y = _boundary_xy(set_, ts)
-    worst = float(np.min(np.minimum(x + 2.0, 0.5 * (x + 2.0) - np.abs(y))))
-    if not worst > 0.0:
+def _require_inside(margin: float) -> None:
+    if not margin > 0.0:
         raise InvalidParameterError(
-            f"set is not strictly inside the admissible wedge (margin {worst:.3e})"
+            f"set is not strictly inside the admissible wedge (margin {margin:.3e})"
         )
 
 
 def _numeric_shadow(set_: EtaSet) -> ShadowResult:
     r_hi, p_hi = _boundary_extremum(set_, 1.0)
     r_lo, p_lo = _boundary_extremum(set_, -1.0)
+    # eta0 + 2 >= n_lo > 0 on the whole set, so it lies inside the wedge iff
+    # both mean bounds lie inside (0, 1)
+    _require_inside(0.5 - max(r_hi, -r_lo))
     spec = set_.spec
     d0, d1 = set_.shift
-
-    if isinstance(spec, LineSegmentSpec):
-        up = low = False  # no abscissa extent, no sticking mechanism
-    elif isinstance(spec, BoatshapeSpec):
-        c, s = _rotation_cs(spec.y_c)
-
-        def pullback_abscissa(p: tuple[float, float]) -> float:
-            return -2.0 + c * (p[0] - d0 + 2.0) + s * (p[1] - d1)
-
-        side = -s * d0 + c * d1  # off-axis component of the pulled-back shift
-        first, last = spec.eta0_lo, spec.eta0_hi
-        tol = _END_TOL_SCALE * (1.0 + last - first)
-        up = abs(pullback_abscissa(p_hi) - (first if side >= 0.0 else last)) <= tol
-        low = abs(pullback_abscissa(p_lo) - (last if side >= 0.0 else first)) <= tol
-    else:
+    up = low = False  # segments have no abscissa extent, no sticking mechanism
+    if not isinstance(spec, LineSegmentSpec):
         first, last = spec.n_lo - 2.0, spec.n_hi - 2.0
         tol = _END_TOL_SCALE * (1.0 + last - first)
-        if last - first <= tol:
-            up = low = False
-        else:
+        if last - first > tol:
             up = abs(p_hi[0] - d0 - (first if d1 >= 0.0 else last)) <= tol
             low = abs(p_lo[0] - d0 - (last if d1 >= 0.0 else first)) <= tol
+    return ShadowResult(0.5 + r_lo, 0.5 + r_hi, p_lo[0], p_hi[0], _phase(up, low))
 
-    return ShadowResult(
-        y_lo=0.5 + r_lo,
-        y_hi=0.5 + r_hi,
-        tp_lo=p_lo[0],
-        tp_hi=p_hi[0],
-        phase=_phase(up, low),
-    )
+
+def _boat_shadow(spec: BoatshapeSpec, d0: float, d1: float) -> ShadowResult:
+    """Shadow of a boat translated by ``(d0, d1)``: solved in its symmetry
+    frame, each bound's angle then turned by ``theta = atan(y_c - 1/2)``."""
+    p0, p1 = _pullback(spec, d0, d1)
+    _require_inside(spec.eta0_lo + p0 + 2.0)
+    y_lo, y_hi, tp_lo, tp_hi, up, low = _axis_frame(spec, p0, p1)
+    # the set lies inside the wedge iff both bound angles do
+    theta = math.atan(spec.y_c - 0.5)
+    ang_lo, ang_hi = math.atan(y_lo - 0.5) + theta, math.atan(y_hi - 0.5) + theta
+    _require_inside(_HALF_ANGLE - max(ang_hi, -ang_lo))
+    if theta != 0.0:
+        # each touchpoint (x, (y - 1/2)(x + 2)) rotated about the apex
+        c, sn = _rotation_cs(spec.y_c)
+        tp_lo = -2.0 + (tp_lo + 2.0) * (c - sn * (y_lo - 0.5))
+        tp_hi = -2.0 + (tp_hi + 2.0) * (c - sn * (y_hi - 0.5))
+        y_lo, y_hi = 0.5 + math.tan(ang_lo), 0.5 + math.tan(ang_hi)
+    return ShadowResult(y_lo, y_hi, tp_lo, tp_hi, _phase(up, low))
 
 
 def shadow(set_: EtaSet) -> ShadowResult:
     """Expectation bounds of a set with touchpoints and phase.
 
-    Axis-symmetric boats use the analytic tangency solvers; rotated boats and
-    rectangle/segment images use the numeric boundary optimizer (the objective
-    is a ratio of affine functions, so its extrema over a compact set lie on
-    the boundary).
+    Boats of any central mean use the analytic tangency solvers in their
+    symmetry frame; only rectangle and segment images take the numeric
+    boundary optimizer (the objective is a ratio of affine functions, so its
+    extrema over a compact set lie on the boundary).  A set that is not
+    strictly inside the admissible wedge raises :class:`InvalidParameterError`,
+    checked from the bounds in O(1).
     """
-    _domain_guard(set_)
-    spec = set_.spec
-    if isinstance(spec, BoatshapeSpec) and spec.y_c == 0.5:
-        y_lo, y_hi, tp_lo, tp_hi, up, low = _axis_frame(
-            spec, set_.shift[0], set_.shift[1]
-        )
-        return ShadowResult(y_lo, y_hi, tp_lo, tp_hi, _phase(up, low))
+    if isinstance(set_.spec, BoatshapeSpec):
+        return _boat_shadow(set_.spec, *set_.shift)
     return _numeric_shadow(set_)

@@ -15,6 +15,10 @@ LONG_BOAT_FLAGS = [
     "--kind", "boat",
     "--eta0-lo", "-1", "--eta0-hi", "20", "--a", "1", "--b", "0.4", "--y-c", "0.5",
 ]
+SKEWED_BOAT_FLAGS = [
+    "--kind", "boat",
+    "--eta0-lo", "-1", "--eta0-hi", "20", "--a", "1", "--b", "0.4", "--y-c", "0.75",
+]
 SEGMENT_FLAGS = ["--kind", "segment", "--n0", "2", "--y-lo", "0.4", "--y-hi", "0.6"]
 
 
@@ -97,6 +101,21 @@ class TestSweep:
         assert len({(r[5], r[6]) for r in rows}) == 1
         assert float(rows[0][5]) == pytest.approx(9.4, abs=1e-6)
 
+    def test_threshold_columns_filled_for_rotated_boat(self, capsys):
+        _, out, _ = run(
+            ["sweep", *SKEWED_BOAT_FLAGS, "--n", "10", "--s-step", "2.5"], capsys
+        )
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert {(r[5], r[6]) for r in rows} == {("10", "8.52752609284")}
+
+    def test_threshold_columns_blank_for_rectangle(self, capsys):
+        _, out, _ = run(
+            ["sweep", "--kind", "rectangle", "--n-lo", "1", "--n-hi", "4", "--y-lo", "0.3",
+             "--y-hi", "0.7", "--n", "4", "--s-step", "2"],
+            capsys,
+        )
+        assert all(row.endswith(",,") for row in out.strip().splitlines()[1:])
+
     def test_threshold_columns_blank_for_segment(self, capsys):
         _, out, _ = run(["sweep", *SEGMENT_FLAGS, "--n", "4", "--s-step", "1"], capsys)
         row = out.strip().splitlines()[1]
@@ -161,6 +180,16 @@ class TestThresholdsAndTransform:
         assert row["happy_hi"] == pytest.approx(5.9969, abs=1e-3)
         assert row["happy_lo"] == pytest.approx(4.0031, abs=1e-3)
         assert row["upper_slope"] == pytest.approx(1.0 / 11.0, abs=1e-9)
+
+    def test_thresholds_rotated_boat(self, capsys):
+        code, out, _ = run(
+            ["thresholds", *SKEWED_BOAT_FLAGS, "--n", "10", "--format", "json"], capsys
+        )
+        assert code == 0
+        (row,) = json.loads(out)
+        assert (row["s_u"], row["s_l"]) == pytest.approx((10.0, 8.5275), abs=1e-4)
+        # not the mirror window [n - t, t] of an axis boat
+        assert (row["happy_lo"], row["happy_hi"]) == pytest.approx((6.4724, 8.5275), abs=1e-4)
 
     def test_thresholds_need_boat(self, capsys):
         code, _, err = run(["thresholds", *SEGMENT_FLAGS, "--n", "4"], capsys)

@@ -28,7 +28,7 @@ from boatshape import (
     updated,
 )
 from boatshape.shapes import _boundary_xy
-from conftest import random_boat_spec
+from conftest import canonical_route_bounds, random_boat_spec
 
 # Frozen from quadrature of the unnormalized kernel p^2 (1-p)^4 on [0, 1]
 # (see test_log_pdf_matches_quadrature_oracle).
@@ -170,51 +170,6 @@ class TestLargeShapes:
         integral = 0.5 * (hi - lo) * float(density @ weights)
         expected = float(scipy_betainc(a, b, hi) - scipy_betainc(a, b, lo))
         assert integral == pytest.approx(expected, rel=1e-11)
-
-
-def canonical_route_bounds(set_: EtaSet, d: BinomialData) -> tuple[float, float]:
-    """Independent route: optimize (n0*y0 + s)/(n0 + n) over the prior set.
-
-    Segments and rectangles attain extrema at corners because the expression
-    is monotone in y0 and, for fixed y0, monotone in n0.  Boats get a dense
-    prior-boundary scan with golden-section refinement.
-    """
-    spec = set_.spec
-    if hasattr(spec, "n0"):  # segment
-        corners = [(spec.n0, spec.y_lo), (spec.n0, spec.y_hi)]
-    elif hasattr(spec, "n_lo"):  # rectangle
-        corners = [
-            (n0, y0)
-            for n0 in (spec.n_lo, spec.n_hi)
-            for y0 in (spec.y_lo, spec.y_hi)
-        ]
-    else:
-        def val(t):
-            x, y = _boundary_xy(set_, np.array([t]))
-            n0 = float(x[0]) + 2.0
-            return (float(y[0]) + 0.5 * n0 + d.s) / (n0 + d.n)
-
-        ts = np.arange(20000) / 20000.0
-        x, y = _boundary_xy(set_, ts)
-        n0 = x + 2.0
-        vals = (y + 0.5 * n0 + d.s) / (n0 + d.n)
-        out = []
-        for sign in (1.0, -1.0):
-            i = int(np.argmax(sign * vals))
-            lo, hi = ts[i] - 1.0 / 20000.0, ts[i] + 1.0 / 20000.0
-            best = sign * vals[i]
-            for _ in range(120):
-                m1 = lo + 0.381966 * (hi - lo)
-                m2 = hi - 0.381966 * (hi - lo)
-                if sign * val(m1) >= sign * val(m2):
-                    hi = m2
-                else:
-                    lo = m1
-                best = max(best, sign * val(0.5 * (lo + hi)))
-            out.append(sign * best)
-        return out[1], out[0]
-    vals = [(n0 * y0 + d.s) / (n0 + d.n) for n0, y0 in corners]
-    return min(vals), max(vals)
 
 
 class TestExpectationBounds:

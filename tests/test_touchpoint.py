@@ -16,19 +16,25 @@ from boatshape import (
     boat_set,
     grid_shadow,
     learning_phase,
+    rectangle_set,
     segment_set,
     shadow,
     solve_posterior_touchpoints,
     solve_prior_upper_touchpoint,
     terminal_slopes,
     updated,
+    validate,
 )
-from conftest import random_boat_spec
+from boatshape.shapes import _boundary_xy
+from conftest import canonical_route_bounds, random_boat_spec, random_rotated_boat_spec
 
 SMALL_BOAT = BoatshapeSpec(eta0_lo=1.0, eta0_hi=6.0, a=1.5, b=0.9)
 LONG_BOAT = BoatshapeSpec(eta0_lo=-1.0, eta0_hi=20.0, a=1.0, b=0.4)
 #: configs/boat_skewed.cfg: the long boat rotated onto the y_c = 0.75 ray
 SKEWED_BOAT = BoatshapeSpec(eta0_lo=-1.0, eta0_hi=20.0, a=1.0, b=0.4, y_c=0.75)
+
+#: the same boat rotated onto the y_c = 0.35 ray, on the other side of the axis
+LOW_SKEWED_BOAT = BoatshapeSpec(eta0_lo=-1.0, eta0_hi=20.0, a=1.0, b=0.4, y_c=0.35)
 
 # Frozen by a 200-step bisection of the prior tangency residual on
 # [eta0_lo + 1e-9, 100] (see test_prior_root_matches_bisection_oracle).
@@ -43,6 +49,48 @@ def tangency_residual(spec: BoatshapeSpec, d: BinomialData, tp: float, which: st
     return math.exp(spec.b * (tp - d.n - spec.eta0_lo)) - factor * (
         1.0 + spec.b * (tp + 2.0)
     )
+
+
+def stuck_flags(spec: BoatshapeSpec, n: float, s: float) -> tuple[bool, bool]:
+    """Whether the upper and the lower touchpoint are stuck, read off the
+    learning phase."""
+    phase = learning_phase(spec, BinomialData(n, s))
+    both = phase is LearningPhase.UNHAPPY_BOTH
+    upper = both or phase is LearningPhase.UNHAPPY_UPPER
+    return upper, both or phase is LearningPhase.UNHAPPY_LOWER
+
+
+def bisect_switch(pred, start: float, end: float, tol: float = 1e-10) -> float:
+    """Where a predicate that is monotone between ``start`` and ``end`` (in
+    either order) turns true, by bisection: ``start`` if it already holds
+    there, ``end`` if it never does."""
+    if not pred(end):
+        return end
+    if pred(start):
+        return start
+    while abs(end - start) > tol:
+        mid = 0.5 * (start + end)
+        if pred(mid):
+            end = mid
+        else:
+            start = mid
+    return end
+
+
+def bisection_thresholds(spec: BoatshapeSpec, n: float) -> tuple[float, float, float]:
+    """``(s_u, s_l, happy_lo)`` by bisection on the sticking flags, searching
+    up from ``n * y_c`` and (for ``happy_lo``) down from it.  The search starts
+    a hair off ``n * y_c``, where the flags switch between the two pairs."""
+    centre, nudge = n * spec.y_c, 1e-12 * max(1.0, n)
+    up = [
+        bisect_switch(lambda s, k=k: stuck_flags(spec, n, s)[k], min(centre + nudge, n), n)
+        for k in (0, 1)
+    ]
+    down = [
+        bisect_switch(lambda s, k=k: stuck_flags(spec, n, s)[k], max(centre - nudge, 0.0), 0.0)
+        for k in (0, 1)
+    ]
+    return up[0], up[1], max(down)
 
 
 class TestPriorTouchpoint:
@@ -204,6 +252,33 @@ class TestShadow:
             assert result.y_lo == pytest.approx(g_lo, abs=1e-3)
             assert result.y_hi == pytest.approx(g_hi, abs=1e-3)
 
+    def test_rotated_boat_matches_prior_boundary_scan(self):
+        rng = np.random.default_rng(35)
+        specs = [SKEWED_BOAT, LOW_SKEWED_BOAT] + [random_rotated_boat_spec(rng) for _ in range(8)]
+        for spec in specs:
+            prior = EtaSet(spec)
+            for _ in range(3):
+                n = rng.uniform(0.0, 30.0)
+                d = BinomialData(n, rng.uniform(0.0, n))
+                result = shadow(updated(prior, d))
+                ref_lo, ref_hi = canonical_route_bounds(prior, d)
+                assert result.y_lo == pytest.approx(ref_lo, abs=1e-8)
+                assert result.y_hi == pytest.approx(ref_hi, abs=1e-8)
+
+    def test_rotated_touchpoints_are_the_extremizers(self):
+        # tp_* are real-frame abscissae: the boundary point with that abscissa
+        # on the right side of the set attains the bound
+        for d in (BinomialData(10.0, 2.0), BinomialData(10.0, 7.0), BinomialData(100.0, 90.0)):
+            post = updated(EtaSet(SKEWED_BOAT), d)
+            result = shadow(post)
+            ts = np.linspace(0.0, 1.0, 200001)[:-1]
+            x, y = _boundary_xy(post, ts)
+            mean = 0.5 + y / (x + 2.0)
+            for tp, bound in ((result.tp_lo, result.y_lo), (result.tp_hi, result.y_hi)):
+                i = int(np.argmin(np.abs(mean - bound)))
+                assert mean[i] == pytest.approx(bound, abs=1e-6)
+                assert x[i] == pytest.approx(tp, abs=1e-3)
+
     def test_touchpoints_inside_set_extent(self):
         rng = np.random.default_rng(28)
         for _ in range(100):
@@ -230,6 +305,47 @@ class TestShadow:
         bad = EtaSet(BoatshapeSpec(eta0_lo=-1.9, eta0_hi=5.0, a=10.0, b=0.5))
         with pytest.raises(InvalidParameterError):
             shadow(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # too wide for the y_c = 0.9 ray: the upper contour leaves the wedge
+            EtaSet(BoatshapeSpec(eta0_lo=-1.0, eta0_hi=20.0, a=1.0, b=0.4, y_c=0.9)),
+            # pushed off the wedge by the accumulated shift
+            EtaSet(SKEWED_BOAT, shift=(0.0, 5.0)),
+            EtaSet(LOW_SKEWED_BOAT, shift=(1.0, -3.0)),
+            # the pulled-back bow lands behind the apex
+            EtaSet(
+                BoatshapeSpec(eta0_lo=-1.9, eta0_hi=5.0, a=0.01, b=0.5, y_c=0.9),
+                shift=(0.0, -3.0),
+            ),
+            EtaSet(rectangle_set(1.0, 4.0, 0.3, 0.7).spec, shift=(0.0, 3.0)),
+            EtaSet(segment_set(2.0, 0.4, 0.6).spec, shift=(1.0, -2.0)),
+        ],
+    )
+    def test_sets_outside_wedge_rejected(self, bad):
+        assert not validate(bad).ok
+        with pytest.raises(InvalidParameterError, match="margin"):
+            shadow(bad)
+
+    def test_guard_agrees_with_dense_validation(self):
+        rng = np.random.default_rng(36)
+        rejected = 0
+        for _ in range(200):
+            base = random_rotated_boat_spec(rng)  # widened past the wedge at times
+            widen = rng.uniform(0.5, 3.0)
+            spec = BoatshapeSpec(base.eta0_lo, base.eta0_hi, base.a * widen, base.b, base.y_c)
+            set_ = EtaSet(spec, shift=(rng.uniform(0.0, 5.0), rng.uniform(-3.0, 3.0)))
+            report = validate(set_)
+            if abs(report.worst_margin) < 1e-6:
+                continue  # too close to the wedge to tell from a sample
+            if report.ok:
+                shadow(set_)
+            else:
+                rejected += 1
+                with pytest.raises(InvalidParameterError):
+                    shadow(set_)
+        assert 20 <= rejected <= 180
 
 
 class TestLearningPhase:
@@ -313,6 +429,51 @@ class TestThresholds:
                 assert happy == (n - t < s < t)
 
 
+    def test_closed_forms_match_bisection_oracle(self):
+        rng = np.random.default_rng(37)
+        for k in range(320):
+            spec = random_boat_spec(rng) if k % 2 else random_rotated_boat_spec(rng)
+            n = float(rng.choice((0.0, 1.0, 4.0, 10.0, 100.0))) * rng.uniform(0.5, 1.5)
+            th = agreement_thresholds(spec, n)
+            s_u, s_l, happy_lo = bisection_thresholds(spec, n)
+            assert th.s_u == pytest.approx(s_u, abs=1e-9)
+            assert th.s_l == pytest.approx(s_l, abs=1e-9)
+            assert th.happy_lo == pytest.approx(happy_lo, abs=1e-9)
+            assert th.happy_hi == min(th.s_u, th.s_l)
+
+    def test_axis_window_is_mirrored(self):
+        rng = np.random.default_rng(38)
+        for _ in range(50):
+            spec = random_boat_spec(rng)
+            n = rng.uniform(0.0, 25.0)
+            th = agreement_thresholds(spec, n)
+            assert th.happy_lo == pytest.approx(n - th.happy_hi, abs=1e-12)
+
+    def test_skewed_boat_window(self):
+        th = agreement_thresholds(SKEWED_BOAT, 10.0)
+        assert th.s_u == 10.0  # the upper touchpoint never reaches the bow
+        assert th.s_l == pytest.approx(8.5275, abs=1e-4)
+        assert (th.happy_lo, th.happy_hi) == pytest.approx((6.4724, 8.5275), abs=1e-4)
+        for s, happy in ((5.0, False), (6.4, False), (6.6, True), (8.4, True), (8.7, False)):
+            phase = shadow(updated(EtaSet(SKEWED_BOAT), BinomialData(10.0, s))).phase
+            assert (phase is LearningPhase.HAPPY_BOTH) == happy, f"s = {s}"
+
+    def test_rotated_phase_coherent_with_window(self):
+        rng = np.random.default_rng(39)
+        for _ in range(60):
+            spec = random_rotated_boat_spec(rng)
+            n = rng.uniform(1.0, 100.0)
+            th = agreement_thresholds(spec, n)
+            slack = 1e-12 * n  # n * y_c is rounded differently on each side
+            assert 0.0 <= th.happy_lo <= n * spec.y_c + slack
+            assert n * spec.y_c - slack <= th.happy_hi <= n
+            for s in np.linspace(0.0, n, 23):
+                if min(abs(s - th.happy_lo), abs(s - th.happy_hi)) < 1e-7 * n:
+                    continue  # undefined exactly at the switch
+                happy = learning_phase(spec, BinomialData(n, s)) is LearningPhase.HAPPY_BOTH
+                assert happy == (th.happy_lo < s < th.happy_hi)
+
+
 class TestTerminalSlopes:
     def test_long_boat_formula(self):
         up, low = terminal_slopes(LONG_BOAT, 10.0)
@@ -338,6 +499,23 @@ class TestTerminalSlopes:
             r2 = shadow(updated(base, BinomialData(n, s + delta)))
             assert (r2.y_hi - r1.y_hi) / delta == pytest.approx(up, abs=1e-6)
             assert (r2.y_lo - r1.y_lo) / delta == pytest.approx(low, abs=1e-6)
+
+    @pytest.mark.parametrize("spec", [SKEWED_BOAT, LOW_SKEWED_BOAT], ids=["y_c=0.75", "y_c=0.35"])
+    def test_rotated_finite_differences_beyond_thresholds(self, spec):
+        # each bound rides its set end from its own threshold on
+        n, delta = 10.0, 0.1
+        th = agreement_thresholds(spec, n)
+        base = EtaSet(spec)
+        checked = 0
+        for slope, threshold, pick in zip(
+            terminal_slopes(spec, n), (th.s_u, th.s_l), (lambda r: r.y_hi, lambda r: r.y_lo)
+        ):
+            for s in np.arange(threshold + 0.05, n - delta, delta):
+                r1 = shadow(updated(base, BinomialData(n, s)))
+                r2 = shadow(updated(base, BinomialData(n, s + delta)))
+                assert (pick(r2) - pick(r1)) / delta == pytest.approx(slope, abs=1e-6)
+                checked += 1
+        assert checked >= 10
 
     def test_three_point_collinearity(self):
         n = 10.0
