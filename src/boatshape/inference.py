@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameterError, NumericError
-from .params import BinomialData, CanonicalParams, _require_finite
+from .params import BinomialData, CanonicalParams, _require_finite, _two_prod
 from .shapes import EtaSet, RectangleSpec, _boundary_xy, _geometry, updated
 from .touchpoint import shadow
 
@@ -154,18 +154,6 @@ def _log1pmx(u):
     series = v2 * (1 / 3 + v2 * (1 / 5 + v2 * (1 / 7 + v2 * (1 / 9 + v2 * (1 / 11 + v2 / 13)))))
     near = -u * u / (2.0 + u) + 2.0 * v * series
     return np.where(np.abs(u) < 0.1, near, far)
-
-
-def _two_prod(u, v):
-    """``u * v`` as an unevaluated sum ``prod + err`` (Dekker)."""
-    prod = u * v
-    c = 134217729.0 * u
-    uh = c - (c - u)
-    ul = u - uh
-    c = 134217729.0 * v
-    vh = c - (c - v)
-    vl = v - vh
-    return prod, ((uh * vh - prod) + uh * vl + ul * vh) + ul * vl
 
 
 def _mean_offset(a, b, x):

@@ -32,6 +32,18 @@ def _require_finite(what: str, **fields: float) -> None:
             raise InvalidParameterError(f"{what} violates finite {name}: got {value}")
 
 
+def _two_prod(u, v):
+    """``u * v`` as an unevaluated sum ``prod + err`` (Dekker)."""
+    prod = u * v
+    c = 134217729.0 * u
+    uh = c - (c - u)
+    ul = u - uh
+    c = 134217729.0 * v
+    vh = c - (c - v)
+    vl = v - vh
+    return prod, ((uh * vh - prod) + uh * vl + ul * vh) + ul * vl
+
+
 @dataclass(frozen=True)
 class CanonicalParams:
     """A Beta prior as prior strength ``n0 > 0`` and prior mean ``y0 in (0, 1)``."""

@@ -9,12 +9,13 @@ equates an exponential with an affine function,
     exp(b * (x - L)) = F * (1 + b * (x + 2)),
 
 where ``L`` is the translated bow and the factor ``F`` encodes how far the
-set has been pushed off its symmetry axis.  The exponential side is convex,
-so beyond the bow there is at most one crossing; when the crossing leaves the
-set, the touchpoint sticks to the nearer end and the corresponding shadow
-bound grows linearly in the data.  Interior touchpoints on both sides are
-"happy learning"; a touchpoint stuck at an end is "unhappy" (prior-data
-conflict has taken over that bound).
+set has been pushed off its symmetry axis.  In log form the difference of the
+two sides is increasing and convex on ``x > -2``, so there is at most one
+crossing and Newton from the stern reaches it monotonically; when the
+crossing leaves the set, the touchpoint sticks to the nearer end and the
+corresponding shadow bound grows linearly in the data.  Interior touchpoints
+on both sides are "happy learning"; a touchpoint stuck at an end is "unhappy"
+(prior-data conflict has taken over that bound).
 
 A rotated boat is solved in its symmetry frame: rotation about the apex maps
 apex rays to apex rays, so the data shift is pulled back by the rotation and
@@ -34,15 +35,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParameterError, NumericError
-from .params import BinomialData
-from .shapes import BoatshapeSpec, EtaSet, LineSegmentSpec, _boundary_xy, _rotation_cs, _scan_xy
+from .params import BinomialData, _two_prod
+from .shapes import BoatshapeSpec, EtaSet, RectangleSpec, _boundary_xy, _rotation_cs, _scan_xy
 
-_ROOT_TOL = 1e-12
 _MAX_ITER = 200
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: Proximity (in abscissa) at which a numerically located extremizer counts
-#: as stuck at a set end.
-_END_TOL_SCALE = 1e-6
 #: Half-angle of the admissible wedge ``|eta1| < (eta0 + 2) / 2`` at the apex.
 _HALF_ANGLE = math.atan(0.5)
 
@@ -75,6 +72,10 @@ class AgreementThresholds:
     interior for ``happy_lo < s < happy_hi = min(s_u, s_l)``; below ``n * y_c``
     the mirrored pair sets ``happy_lo`` (``0`` when neither sticks).  For
     ``y_c = 1/2`` the window is ``[n - t, t]`` with ``t = min(s_u, s_l)``.
+
+    At the tie ``s = n * y_c`` (decided exactly, not from a rounded shift) both
+    touchpoints coincide; the phase there is ``UnhappyBoth`` when they sit on
+    the stern and ``HappyBoth`` otherwise, its own mirror image.
     """
 
     s_u: float
@@ -83,100 +84,73 @@ class AgreementThresholds:
     happy_hi: float
 
 
-def _tangency_g(F: float, b: float, L: float, x: float) -> float:
-    t = b * (x - L)
-    exp_side = math.exp(t) if t < 709.0 else math.inf  # saturate, never overflow
-    return exp_side - F * (1.0 + b * (x + 2.0))
+def _tangency_root(ln_f: float, b: float, L: float, x: float) -> float:
+    """The touchpoint at or left of ``x``: where the tangency condition in log
+    form,
 
+        h(x) = b (x - L) - ln F - log1p(b (x + 2)),
 
-def _tangency_root(F: float, b: float, L: float, lo: float, hi: float) -> float:
-    """Root of the tangency condition on a bracket with a sign change.
+    crosses zero, or ``x`` itself when ``h(x) <= 0`` (the crossing lies beyond).
 
-    Safeguarded Newton: steps that leave the bracket fall back to bisection,
-    and the bracket is re-pinched from the sign of every evaluation.
+    With ``q = b (x + 2)``, ``h' = b q / (1 + q) > 0`` and
+    ``h'' = b^2 / (1 + q)^2 > 0`` on ``x > -2``: ``h`` is increasing and convex,
+    so Newton started where ``h > 0`` decreases onto the root and never
+    overshoots it.  It stops once ``h <= 0`` or a step no longer moves ``x``.
     """
-    g_lo = _tangency_g(F, b, L, lo)
-    g_hi = _tangency_g(F, b, L, hi)
-    if not (g_lo <= 0.0 <= g_hi):
-        raise NumericError(
-            f"tangency root not bracketed on [{lo}, {hi}]: g = ({g_lo}, {g_hi})"
-        )
-    # 1e-12 absolute, except where the floating-point grid itself is coarser
-    tol = max(_ROOT_TOL, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi)))
-    x = 0.5 * (lo + hi)
-    step_prev = hi - lo
     for _ in range(_MAX_ITER):
-        gx = _tangency_g(F, b, L, x)
-        if gx <= 0.0:
-            lo = x
-        else:
-            hi = x
-        if hi - lo < tol or gx == 0.0:
-            break
-        slope = b * math.exp(min(b * (x - L), 709.0)) - F * b
-        take_newton = slope > 0.0 and math.isfinite(gx)
-        if take_newton:
-            step = gx / slope
-            # a Newton step must stay bracketed and at least halve the
-            # previous step, otherwise it can crawl along the flat tail
-            take_newton = lo < x - step < hi and abs(step) < 0.5 * step_prev
-        if take_newton:
-            step_prev = abs(step)
-            x -= step
-        else:
-            step_prev = 0.5 * (hi - lo)
-            x = 0.5 * (lo + hi)
-    else:
-        raise NumericError("tangency root search did not converge in 200 iterations")
-    # Newton polish down to the floating-point floor so the defining-equation
-    # residual, not just the abscissa, is converged.
-    x = 0.5 * (lo + hi)
-    gx = _tangency_g(F, b, L, x)
-    for _ in range(8):
-        slope = b * math.exp(min(b * (x - L), 709.0)) - F * b
-        if slope <= 0.0 or gx == 0.0 or not math.isfinite(gx):
-            break
-        x_next = x - gx / slope
-        g_next = _tangency_g(F, b, L, x_next)
-        if abs(g_next) >= abs(gx):
-            break
-        x, gx = x_next, g_next
-    return x
+        q = b * (x + 2.0)
+        h = b * (x - L) - ln_f - math.log1p(q)
+        if h <= 0.0:
+            return x
+        x_next = x - h * (1.0 + q) / (b * q)
+        if x_next == x:
+            return x
+        x = x_next
+    raise NumericError(f"tangency root search did not converge in {_MAX_ITER} iterations")
+
+
+def _data_side(d0: float, d1: float, y: float) -> int:
+    """Exact sign of ``d1 - d0 (y - 1/2)``; for a shift ``(n, s - n/2)`` that is
+    the sign of ``s - n y``.  ``d0 y = prod + err`` exactly and ``fsum`` rounds
+    the sum of the four exact terms correctly, so no rounding decides a tie."""
+    prod, err = _two_prod(d0, y)
+    r = math.fsum((d1, 0.5 * d0, -prod, -err))
+    return (r > 0.0) - (r < 0.0)
 
 
 def _axis_frame(
-    spec: BoatshapeSpec, d0: float, d1: float
+    spec: BoatshapeSpec, d0: float, d1: float, side: int
 ) -> tuple[float, float, float, float, bool, bool]:
-    """Shadow of the unrotated boat translated by ``(d0, d1)``.
+    """Shadow of the unrotated boat translated by ``(d0, d1)``, where ``side``
+    is the exact sign of ``d1``.
 
     Returns ``(y_lo, y_hi, tp_lo, tp_hi, upper_stuck, lower_stuck)`` where the
     stuck flags mark touchpoints that reached the terminal end of the set
     (the bow for the upper bound, the stern for the lower bound, mirrored for
-    downward translations).
+    downward translations).  At ``side == 0`` both touchpoints solve the same
+    equation, and the flags mirror themselves: both stuck when the touchpoints
+    sit on the stern, neither otherwise.
     """
-    if d1 < 0.0:
-        y_lo, y_hi, tp_lo, tp_hi, up, low = _axis_frame(spec, d0, -d1)
+    if side < 0:
+        y_lo, y_hi, tp_lo, tp_hi, up, low = _axis_frame(spec, d0, -d1, 1)
         return 1.0 - y_hi, 1.0 - y_lo, tp_hi, tp_lo, low, up
     a, b = spec.a, spec.b
     L = spec.eta0_lo + d0
     R = spec.eta0_hi + d0
 
-    # Upper touchpoint: the crossing moves left as d1 grows and sticks at the
-    # bow once the affine side starts below the exponential there; a tangency
-    # beyond the stern leaves the stern corner in charge.
+    # Upper touchpoint, F = a / (a + d1): the crossing moves left as d1 grows
+    # and sticks at the bow once h(L) >= 0; a crossing beyond the stern leaves
+    # the stern corner in charge.
     upper_stuck = d1 >= a * b * (L + 2.0)
-    F = a / (d1 + a)
-    if upper_stuck:
-        tp_hi = L
-    elif _tangency_g(F, b, L, R) <= 0.0:
-        tp_hi = R
-    else:
-        tp_hi = _tangency_root(F, b, L, L, R)
+    tp_hi = L if upper_stuck else _tangency_root(-math.log1p(d1 / a), b, L, R)
 
-    # Lower touchpoint: the crossing moves right and sticks at the stern; for
+    # Lower touchpoint, F = a / (a - d1): the crossing moves right and sticks
+    # at the stern, which the root search returns as is once h(R) <= 0; for
     # d1 >= a the whole set sits above the axis and no crossing exists at all.
-    lower_stuck = d1 >= a or _tangency_g(a / (a - d1), b, L, R) <= 0.0
-    tp_lo = R if lower_stuck else _tangency_root(a / (a - d1), b, L, L, R)
+    tp_lo = R if d1 >= a else _tangency_root(-math.log1p(-d1 / a), b, L, R)
+    lower_stuck = tp_lo == R
+    if side == 0:
+        upper_stuck = lower_stuck
 
     def contour(x: float) -> float:
         return a * (1.0 - math.exp(-b * (x - L)))
@@ -202,15 +176,18 @@ def solve_prior_upper_touchpoint(spec: BoatshapeSpec) -> float:
     Unique beyond the bow; returns the stern abscissa when the tangency falls
     beyond it.
     """
-    return _axis_frame(spec, 0.0, 0.0)[3]
+    return _axis_frame(spec, 0.0, 0.0, 0)[3]
 
 
-def _pullback(spec: BoatshapeSpec, d0: float, d1: float) -> tuple[float, float]:
-    """A shift ``(d0, d1)`` pulled back into the boat's symmetry frame.
+def _pullback(spec: BoatshapeSpec, d0: float, d1: float) -> tuple[float, float, int]:
+    """A shift ``(d0, d1)`` pulled back into the boat's symmetry frame, and the
+    exact side of the axis it lands on (see :func:`_data_side`).
     Rotation about the apex maps apex rays to apex rays, so the touchpoints
-    and their sticking are those of the unrotated boat moved by this shift."""
+    and their sticking are those of the unrotated boat moved by this shift.
+    Balanced data ``s = n y_c`` land exactly on the axis."""
     c, sn = _rotation_cs(spec.y_c)
-    return c * d0 + sn * d1, -sn * d0 + c * d1
+    side = _data_side(d0, d1, spec.y_c)
+    return c * d0 + sn * d1, (-sn * d0 + c * d1) if side else 0.0, side
 
 
 def solve_posterior_touchpoints(
@@ -350,21 +327,23 @@ def _numeric_shadow(set_: EtaSet) -> ShadowResult:
     spec = set_.spec
     d0, d1 = set_.shift
     up = low = False  # segments have no abscissa extent, no sticking mechanism
-    if not isinstance(spec, LineSegmentSpec):
-        first, last = spec.n_lo - 2.0, spec.n_hi - 2.0
-        tol = _END_TOL_SCALE * (1.0 + last - first)
-        if last - first > tol:
-            up = abs(p_hi[0] - d0 - (first if d1 >= 0.0 else last)) <= tol
-            low = abs(p_lo[0] - d0 - (last if d1 >= 0.0 else first)) <= tol
+    if isinstance(spec, RectangleSpec) and spec.n_hi > spec.n_lo:
+        # Along the edge of prior mean y the posterior mean falls toward the
+        # stern iff s > n y.  A bound is stuck iff its terminal corner (bow for
+        # the upper, stern for the lower, swapped for d1 < 0) strictly wins;
+        # a flat edge is a tie and does not stick.
+        side = 1 if d1 >= 0.0 else -1
+        up = side * _data_side(d0, d1, spec.y_hi) > 0
+        low = side * _data_side(d0, d1, spec.y_lo) > 0
     return ShadowResult(0.5 + r_lo, 0.5 + r_hi, p_lo[0], p_hi[0], _phase(up, low))
 
 
 def _boat_shadow(spec: BoatshapeSpec, d0: float, d1: float) -> ShadowResult:
     """Shadow of a boat translated by ``(d0, d1)``: solved in its symmetry
     frame, each bound's angle then turned by ``theta = atan(y_c - 1/2)``."""
-    p0, p1 = _pullback(spec, d0, d1)
+    p0, p1, side = _pullback(spec, d0, d1)
     _require_inside(spec.eta0_lo + p0 + 2.0)
-    y_lo, y_hi, tp_lo, tp_hi, up, low = _axis_frame(spec, p0, p1)
+    y_lo, y_hi, tp_lo, tp_hi, up, low = _axis_frame(spec, p0, p1, side)
     # the set lies inside the wedge iff both bound angles do
     theta = math.atan(spec.y_c - 0.5)
     ang_lo, ang_hi = math.atan(y_lo - 0.5) + theta, math.atan(y_hi - 0.5) + theta

@@ -38,6 +38,14 @@ class TestBounds:
         assert header == "y_lo,y_hi,delta,tp_lo,tp_hi,phase"
         assert row.split(",")[-1] == "HappyBoth"
 
+    def test_rectangle_prior_is_happy(self, capsys):
+        # a prior's rectangle edges are flat in the posterior mean: a tie, not stuck
+        flags = ["--kind", "rectangle", "--n-lo", "3", "--n-hi", "8",
+                 "--y-lo", "0.25", "--y-hi", "0.75"]
+        code, out, _ = run(["bounds", *flags, "--n", "0", "--s", "0"], capsys)
+        assert code == 0
+        assert out.strip().splitlines()[1].split(",")[-1] == "HappyBoth"
+
     def test_segment_delta_independent_of_s(self, capsys):
         rows = []
         for s in ("2", "7"):

@@ -4,6 +4,8 @@ The examples are drawn from the ``tier1`` profile registered in conftest:
 derandomized, so every run checks the same cases.
 """
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,12 +39,15 @@ def unit(lo: float, hi: float) -> st.SearchStrategy[float]:
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def rotated_boats(draw) -> EtaSet:
-    y_c = draw(unit(0.1, 0.9))
+def boat_on_ray(draw, y_c: float) -> EtaSet:
     eta0_lo = draw(unit(-1.8, 6.0))
     a = draw(unit(0.05, 0.95)) * admissible_half_width(eta0_lo, y_c)
     return boat_set(eta0_lo, eta0_lo + draw(unit(0.3, 25.0)), a, draw(unit(0.05, 2.5)), y_c)
+
+
+@st.composite
+def rotated_boats(draw) -> EtaSet:
+    return boat_on_ray(draw, draw(unit(0.1, 0.9)))
 
 
 @st.composite
@@ -58,6 +63,13 @@ def segments(draw) -> EtaSet:
     return segment_set(draw(unit(0.2, 20.0)), y_lo, draw(unit(y_lo, 0.98)))
 
 
+@st.composite
+def dyadic_boats(draw, sixty_fourths: st.SearchStrategy[int]) -> EtaSet:
+    """A boat on the ray of mean ``y_c = k / 64``, so that for integer ``n``
+    the balanced count ``n * y_c`` and the shift ``s - n/2`` are exact."""
+    return boat_on_ray(draw, draw(sixty_fourths) / 64.0)
+
+
 def any_set() -> st.SearchStrategy[EtaSet]:
     return st.one_of(rotated_boats(), rectangles(), segments())
 
@@ -66,6 +78,19 @@ def any_set() -> st.SearchStrategy[EtaSet]:
 def data(draw) -> BinomialData:
     n = draw(st.sampled_from((0.0, 1.0, 10.0, 100.0))) * draw(unit(0.5, 1.5))
     return BinomialData(n, draw(unit(0.0, 1.0)) * n)
+
+
+MIRRORED = {
+    LearningPhase.HAPPY_BOTH: LearningPhase.HAPPY_BOTH,
+    LearningPhase.UNHAPPY_UPPER: LearningPhase.UNHAPPY_LOWER,
+    LearningPhase.UNHAPPY_LOWER: LearningPhase.UNHAPPY_UPPER,
+    LearningPhase.UNHAPPY_BOTH: LearningPhase.UNHAPPY_BOTH,
+}
+
+
+def stuck_flags(phase: LearningPhase) -> tuple[bool, bool]:
+    both = phase is LearningPhase.UNHAPPY_BOTH
+    return both or phase is LearningPhase.UNHAPPY_UPPER, both or phase is LearningPhase.UNHAPPY_LOWER
 
 
 @settings(max_examples=40)
@@ -108,3 +133,48 @@ def test_admissibility_invariant_under_updates(prior, d1, d2):
     result = shadow(post)  # raises if the set left the wedge
     assert 0.0 < result.y_lo <= result.y_hi < 1.0
 
+
+@settings(max_examples=100)
+@given(dyadic_boats(st.just(32)), st.integers(0, 400), unit(0.0, 1.0))
+def test_axis_boat_phase_mirrors_in_s(prior, n, f):
+    for s in (float(math.floor(f * n)), 0.5 * n):
+        phase = shadow(updated(prior, BinomialData(n, s))).phase
+        assert learning_phase(prior.spec, BinomialData(n, s)) is phase
+        assert shadow(updated(prior, BinomialData(n, n - s))).phase is MIRRORED[phase], s
+
+
+@settings(max_examples=150)
+@given(dyadic_boats(st.integers(7, 57)), st.integers(0, 400))
+def test_balanced_data_give_the_tie_phase(prior, n):
+    spec = prior.spec
+    d = BinomialData(n, n * spec.y_c)
+    phase = shadow(updated(prior, d)).phase
+    assert learning_phase(spec, d) is phase
+    # At s = n y_c both touchpoints solve exp(b (x - L)) = 1 + b (x + 2) on the
+    # axis, moved along it by n sqrt(1 + (y_c - 1/2)^2); they sit on the stern
+    # together iff the crossing is not left of it.
+    reach = math.log1p(spec.b * (spec.eta0_hi + 2.0 + n * math.hypot(1.0, spec.y_c - 0.5)))
+    rise = spec.b * (spec.eta0_hi - spec.eta0_lo)
+    if abs(rise - reach) < 1e-9 * rise:
+        return  # too close to call
+    tie = LearningPhase.UNHAPPY_BOTH if rise <= reach else LearningPhase.HAPPY_BOTH
+    assert phase is tie
+
+
+@settings(max_examples=150)
+@given(rectangles(), data())
+def test_rectangle_phase_follows_the_mean_range(prior, d):
+    assert shadow(prior).phase is LearningPhase.HAPPY_BOTH
+    spec, phase = prior.spec, shadow(updated(prior, d)).phase
+    if spec.n_hi == spec.n_lo:
+        assert phase is LearningPhase.HAPPY_BOTH  # nothing to stick to
+        return
+    if d.n == 0.0 or min(abs(d.s - d.n * y) for y in (spec.y_lo, spec.y_hi)) < 1e-9 * d.n:
+        return  # a flat edge: a tie, which does not stick
+    # a bound is stuck while data lie beyond its edge's mean, on the side of
+    # the data: above n/2 beyond means above, below n/2 below
+    if d.s >= 0.5 * d.n:
+        expected = (d.s > d.n * spec.y_hi, d.s > d.n * spec.y_lo)
+    else:
+        expected = (d.s < d.n * spec.y_hi, d.s < d.n * spec.y_lo)
+    assert stuck_flags(phase) == expected

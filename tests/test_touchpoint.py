@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from boatshape import (
     BinomialData,
@@ -134,6 +135,74 @@ class TestPriorTouchpoint:
         tp = solve_prior_upper_touchpoint(spec)
         assert 0.0 < tp < 2.0
         assert abs(tangency_residual(spec, BinomialData(0, 0), tp, "upper")) < 1e-9
+
+
+def lambert_touchpoint(b: float, L: float, F: float) -> float:
+    """Closed-form root of ``exp(b (x - L)) = F (1 + b (x + 2))`` beyond the bow.
+
+    With ``q = 1 + b (x + 2)`` the condition reads ``-q exp(-q) =
+    -exp(-1 - b (L + 2)) / F``, and ``q > 1`` picks the ``W_{-1}`` branch.
+    """
+    w = lambertw(-math.exp(-1.0 - b * (L + 2.0)) / F, -1)
+    assert w.imag == 0.0
+    return (-w.real - 1.0) / b - 2.0
+
+
+def assert_lambert_touchpoints(spec: BoatshapeSpec, d: BinomialData) -> int:
+    """Compare the interior posterior touchpoints of an axis boat with the
+    Lambert-W closed form, relative to the strength ``x + 2``, for ``s >= n/2``.
+    Returns how many touchpoints were compared."""
+    d1 = d.s - 0.5 * d.n
+    L, R = spec.eta0_lo + d.n, spec.eta0_hi + d.n
+    tp_lo, tp_hi = solve_posterior_touchpoints(spec, d)
+    compared = 0
+    for tp, F in ((tp_hi, spec.a / (spec.a + d1)), (tp_lo, spec.a / (spec.a - d1))):
+        if L < tp < R:
+            ref = lambert_touchpoint(spec.b, L, F)
+            assert tp + 2.0 == pytest.approx(ref + 2.0, rel=1e-10, abs=0.0)
+            compared += 1
+    return compared
+
+
+class TestLambertClosedForm:
+    def test_random_axis_boats_and_data(self):
+        rng = np.random.default_rng(40)
+        compared = 0
+        for _ in range(300):
+            spec = random_boat_spec(rng)
+            n = rng.uniform(0.0, 20.0)
+            compared += assert_lambert_touchpoints(spec, BinomialData(n, rng.uniform(n / 2.0, n)))
+        assert compared >= 300
+
+    def test_prior_touchpoint(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            spec = random_boat_spec(rng)
+            tp = solve_prior_upper_touchpoint(spec)
+            if tp < spec.eta0_hi:
+                ref = lambert_touchpoint(spec.b, spec.eta0_lo, 1.0)
+                assert tp + 2.0 == pytest.approx(ref + 2.0, rel=1e-10, abs=0.0)
+
+    def test_long_span(self):
+        spec = BoatshapeSpec(eta0_lo=0.0, eta0_hi=1e3, a=0.5, b=1.5)
+        assert assert_lambert_touchpoints(spec, BinomialData(0.0, 0.0)) == 2
+        assert assert_lambert_touchpoints(spec, BinomialData(10.0, 5.3)) == 2
+
+    def test_hundred_million_trials(self):
+        # b (L + 2) = 200 keeps the reference's exp(-1 - b (L + 2)) in range
+        spec = BoatshapeSpec(eta0_lo=1.0, eta0_hi=1e7, a=1.0, b=2e-6)
+        assert assert_lambert_touchpoints(spec, BinomialData(1e8, 5e7 + 0.25)) == 2
+        assert assert_lambert_touchpoints(spec, BinomialData(1e8, 5e7)) == 2
+
+    def test_near_tangency(self):
+        # the crossing lies just beyond the bow where both sides nearly touch:
+        # the W argument is within 1e-4 of its branch point -1/e
+        spec = BoatshapeSpec(eta0_lo=0.0, eta0_hi=200.0, a=0.5, b=1e-4)
+        d = BinomialData(1e-3, 5e-4 + 7.5e-5)
+        F = spec.a / (spec.a + d.s - 0.5 * d.n)
+        z = -math.exp(-1.0 - spec.b * (spec.eta0_lo + d.n + 2.0)) / F
+        assert 0.0 < 1.0 + math.e * z < 1e-4
+        assert assert_lambert_touchpoints(spec, d) >= 1
 
 
 class TestPosteriorTouchpoints:
