@@ -40,7 +40,7 @@ import numpy as np
 from .errors import InvalidParameterError, NumericError
 from .params import BinomialData, CanonicalParams, _require_finite, _two_prod
 from .shapes import EtaSet, RectangleSpec, _boundary_xy, _geometry, updated
-from .touchpoint import shadow
+from .touchpoint import _require_admissible, shadow
 
 _CF_MAX_ITER = 300
 _CF_EPS = 1e-15
@@ -485,6 +485,7 @@ def credibility_union(set_: EtaSet, d: BinomialData, gamma: float) -> Credibilit
     if not 0.0 < gamma < 1.0:
         raise InvalidParameterError(f"credibility level violates 0 < gamma < 1: got {gamma}")
     post = updated(set_, d)
+    _require_admissible(post)
     levels = np.array([0.5 * (1.0 - gamma), 0.5 * (1.0 + gamma)])
     sign = np.array([1.0, -1.0])  # minimize the lower endpoint, maximize the upper
 

@@ -318,12 +318,24 @@ def _require_inside(margin: float) -> None:
         )
 
 
+def _require_admissible(set_: EtaSet) -> None:
+    """Raise :class:`InvalidParameterError` naming the margin unless the set lies strictly
+    inside the wedge ``|eta1| < (eta0 + 2)/2``; exact and O(1).  A boat runs the guard of
+    :func:`_boat_shadow`.  A rectangle or segment image is a convex polygon and the wedge is
+    convex, so its 4 or 2 corners decide."""
+    spec, (d0, d1) = set_.spec, set_.shift
+    if isinstance(spec, BoatshapeSpec):
+        _boat_shadow(spec, d0, d1)
+        return
+    ns = (spec.n_lo, spec.n_hi) if isinstance(spec, RectangleSpec) else (spec.n0,)
+    ratios = [(n * (y - 0.5) + d1) / (n + d0) for n in ns for y in (spec.y_lo, spec.y_hi)]
+    _require_inside(0.5 - max(map(abs, ratios)))
+
+
 def _numeric_shadow(set_: EtaSet) -> ShadowResult:
+    _require_admissible(set_)
     r_hi, p_hi = _boundary_extremum(set_, 1.0)
     r_lo, p_lo = _boundary_extremum(set_, -1.0)
-    # eta0 + 2 >= n_lo > 0 on the whole set, so it lies inside the wedge iff
-    # both mean bounds lie inside (0, 1)
-    _require_inside(0.5 - max(r_hi, -r_lo))
     spec = set_.spec
     d0, d1 = set_.shift
     up = low = False  # segments have no abscissa extent, no sticking mechanism
@@ -364,8 +376,8 @@ def shadow(set_: EtaSet) -> ShadowResult:
     symmetry frame; only rectangle and segment images take the numeric
     boundary optimizer (the objective is a ratio of affine functions, so its
     extrema over a compact set lie on the boundary).  A set that is not
-    strictly inside the admissible wedge raises :class:`InvalidParameterError`,
-    checked from the bounds in O(1).
+    strictly inside the admissible wedge raises :class:`InvalidParameterError`
+    (see :func:`_require_admissible`).
     """
     if isinstance(set_.spec, BoatshapeSpec):
         return _boat_shadow(set_.spec, *set_.shift)

@@ -178,6 +178,27 @@ class TestCredibility:
         assert "--gamma" in err
 
 
+RECTANGLE_FLAGS = ["--kind", "rectangle", "--n-lo", "1", "--n-hi", "2",
+                   "--y-lo", "0.3", "--y-hi", "0.6"]
+
+
+@pytest.mark.parametrize("shape", [RECTANGLE_FLAGS, SEGMENT_FLAGS], ids=["rectangle", "segment"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["credibility", "--n", "10", "--s", "5", "--gamma", "0.9"],
+        ["bounds", "--n", "10", "--s", "5"],
+    ],
+    ids=["credibility", "bounds"],
+)
+def test_set_shifted_out_of_wedge_exits_2(command, shape, capsys):
+    # --shift1 100 pushes the whole set above the wedge's upper edge
+    code, out, err = run([command[0], *shape, "--shift1", "100", *command[1:]], capsys)
+    assert code == 2
+    assert "margin" in err
+    assert out == ""
+
+
 class TestThresholdsAndTransform:
     def test_thresholds_long_boat(self, capsys):
         code, out, _ = run(

@@ -20,10 +20,12 @@ from boatshape import (
     rectangle_set,
     rotate_about_apex,
     segment_set,
+    solve_prior_upper_touchpoint,
     to_record,
     updated,
     validate,
 )
+from boatshape.shapes import _geometry
 
 SMALL_BOAT = dict(eta0_lo=1.0, eta0_hi=6.0, a=1.5, b=0.9)
 LONG_BOAT = dict(eta0_lo=-1.0, eta0_hi=20.0, a=1.0, b=0.4)
@@ -254,6 +256,30 @@ class TestValidation:
     def test_factory_rejects_wide_boat(self):
         with pytest.raises(InvalidParameterError):
             boat_set(eta0_lo=-1.9, eta0_hi=5.0, a=10.0, b=0.5)
+
+    def test_violation_between_samples_refused(self):
+        # Per unit a, the ratio contour / (eta0 + 2) peaks at the prior upper
+        # touchpoint, so a = 1/(2 r1) makes the boat touch the wedge there.
+        # Widened by 1e-8 past that, it dips out between validate's samples.
+        lo, hi, b = -1.0, 20.0, 0.4
+        x = solve_prior_upper_touchpoint(BoatshapeSpec(lo, hi, 1.0, b))
+        r1 = -math.expm1(-b * (x - lo)) / (x + 2.0)
+        a = 0.5 * (1.0 + 1e-8) / r1
+        bad = EtaSet(BoatshapeSpec(lo, hi, a, b))
+        report = validate(bad)
+        assert report.ok and report.worst_margin < 1e-6  # +4.1e-7 at the nearest sample
+        with pytest.raises(InvalidParameterError, match="margin"):
+            boat_set(lo, hi, a, b)
+        with pytest.raises(InvalidParameterError, match="margin"):
+            from_record(to_record(bad))
+        boat_set(lo, hi, 0.5 * (1.0 - 1e-8) / r1, b)  # just inside still builds
+
+    def test_construction_builds_no_geometry(self):
+        spec = dict(eta0_lo=-1.0, eta0_hi=17.0, a=0.7, b=0.45, y_c=0.6)  # used nowhere else
+        before = _geometry.cache_info()
+        boat_set(**spec)
+        from_record({"kind": "boat", **spec, "shift0": 3.0, "shift1": 1.0})
+        assert _geometry.cache_info() == before
 
     def test_rectangles_always_ok(self):
         rng = np.random.default_rng(9)

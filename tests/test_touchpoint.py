@@ -15,6 +15,8 @@ from boatshape import (
     LearningPhase,
     agreement_thresholds,
     boat_set,
+    credibility_union,
+    from_record,
     grid_shadow,
     learning_phase,
     rectangle_set,
@@ -23,6 +25,7 @@ from boatshape import (
     solve_posterior_touchpoints,
     solve_prior_upper_touchpoint,
     terminal_slopes,
+    to_record,
     updated,
     validate,
 )
@@ -396,6 +399,10 @@ class TestShadow:
         assert not validate(bad).ok
         with pytest.raises(InvalidParameterError, match="margin"):
             shadow(bad)
+        with pytest.raises(InvalidParameterError, match="margin"):
+            from_record(to_record(bad))
+        with pytest.raises(InvalidParameterError, match="margin"):
+            credibility_union(bad, BinomialData(0, 0), 0.9)
 
     def test_guard_agrees_with_dense_validation(self):
         rng = np.random.default_rng(36)
