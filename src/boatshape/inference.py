@@ -10,11 +10,11 @@ on exactly when the observed fraction leaves the prior mean range.
 A set element ``(eta0, eta1)`` indexes the Beta posterior with
 ``alpha = eta0/2 + 1 + eta1`` and ``beta = eta0/2 + 1 - eta1``.  Both are
 affine in eta, and every Beta quantile rises with ``alpha`` and falls with
-``beta``, so within any vertical section of a (convex) set the smallest lower
-endpoint of a central interval sits at the bottom and the largest upper
-endpoint at the top.  Credibility unions therefore search the boundary only:
-a coarse scan of the closed boundary, corners included, then vectorized
-refinement of the sub-arc around each extreme.
+``beta``, so along every section of a set between its two edges the endpoints
+of a central interval rise from the lower edge to the upper one.  Credibility
+unions therefore search the lower edge for the lower end and the upper edge
+for the upper end; a segment's edges are single points, so two quantiles give
+its union exactly.
 
 The regularized incomplete beta function ``I_x(a, b)`` takes one of two
 routes, chosen from the input.  Large shapes near the mean integrate the
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericError
 from .params import BinomialData, CanonicalParams, _require_finite, _two_prod
-from .shapes import EtaSet, RectangleSpec, _boundary_xy, _geometry, updated
+from .shapes import EtaSet, LineSegmentSpec, RectangleSpec, _edges, updated
 from .touchpoint import _require_admissible, shadow
 
 _CF_MAX_ITER = 300
@@ -66,8 +66,8 @@ _GL_NODES = 32
 _QUAD_LOG_CUT = 50.0
 _QUAD_STRETCH = 1.5
 _QUAD_BLOCK = 4096
-#: Credibility union search: coarse boundary scan size, then refinement
-#: passes of _REFINE points over the bracket around each extreme.
+#: Credibility union search: coarse scan size along each edge, then
+#: refinement passes of _REFINE points over the bracket around each extreme.
 _SCAN = 256
 _REFINE = 64
 _PASSES = 2
@@ -476,39 +476,42 @@ def delta_rectangle_closed_form(rect: RectangleSpec, d: BinomialData) -> float:
 def credibility_union(set_: EtaSet, d: BinomialData, gamma: float) -> CredibilityUnion:
     """Union of central ``gamma`` credibility intervals over the posterior set.
 
-    Every set element indexes a Beta posterior whose shapes are affine in
-    eta; its quantiles rise with ``eta1`` at fixed ``eta0``, so the smallest
-    lower endpoint and the largest upper endpoint lie on the boundary.  A
-    coarse scan of the closed boundary, corners included, brackets each
-    extreme, and vectorized passes over the bracket refine it.
+    An element indexes the Beta posterior with ``alpha = eta0/2 + 1 + eta1`` and
+    ``beta = eta0/2 + 1 - eta1``.  Along ``v = (-sin theta, cos theta)``, the direction
+    of every section of the set (see ``shapes._edges``), ``d alpha = cos theta -
+    sin theta / 2 > 0`` and ``d beta = -cos theta - sin theta / 2 < 0``, because
+    ``|tan theta| = |y_c - 1/2| < 1/2``.  A Beta quantile rises with ``alpha`` and
+    falls with ``beta``, so the smallest lower endpoint lies on the lower edge and
+    the largest upper endpoint on the upper edge.  A coarse scan of each edge
+    brackets its extreme and vectorized passes refine it; a segment's edges are
+    single points, which give its union exactly.
     """
     if not 0.0 < gamma < 1.0:
         raise InvalidParameterError(f"credibility level violates 0 < gamma < 1: got {gamma}")
     post = updated(set_, d)
     _require_admissible(post)
-    levels = np.array([0.5 * (1.0 - gamma), 0.5 * (1.0 + gamma)])
+    lower, upper = _edges(post.spec)
+    levels = np.array([[0.5 * (1.0 - gamma)], [0.5 * (1.0 + gamma)]])
     sign = np.array([1.0, -1.0])  # minimize the lower endpoint, maximize the upper
 
-    def endpoints(ts: np.ndarray) -> np.ndarray:
-        """Signed endpoints at boundary parameters ``ts``: one row per level
-        for a 1-D ``ts``, or row ``i`` of a ``(2, m)`` array at level ``i``."""
-        x, y = _boundary_xy(post, ts)
+    def endpoints(us: np.ndarray) -> np.ndarray:
+        """Signed endpoints at edge parameters ``us``, a ``(2, m)`` array whose
+        row 0 runs along the lower edge and row 1 along the upper edge."""
+        x, y = np.stack([lower(us[0]), upper(us[1])], axis=1) + np.array(post.shift)[:, None, None]
         half = 0.5 * (x + 2.0)
-        q = _quantile_vec(half + y, half - y, levels[:, None])
-        return sign[:, None] * q
+        return sign[:, None] * _quantile_vec(half + y, half - y, levels)
 
-    ts = np.unique(np.concatenate([np.arange(_SCAN) / _SCAN, _geometry(post.spec).corner_ts]))
-    vals = endpoints(ts)
+    point = isinstance(post.spec, LineSegmentSpec)  # each edge is one point: nothing to search
+    u = np.linspace(0.0, 1.0, 1 if point else _SCAN)
+    vals = endpoints(np.stack([u, u]))
     k = np.argmin(vals, axis=1)
     best = vals[[0, 1], k]
-    left = np.where(k > 0, ts[k - 1], ts[-1] - 1.0)
-    right = np.where(k + 1 < len(ts), ts[(k + 1) % len(ts)], ts[0] + 1.0)
-    for _ in range(_PASSES):
+    centre, step = u[k], 1.0 / (_SCAN - 1)
+    for _ in range(0 if point else _PASSES):
+        left, right = np.maximum(centre - step, 0.0), np.minimum(centre + step, 1.0)
         grid = np.linspace(left, right, _REFINE, axis=1)
         pass_vals = endpoints(grid)
         k = np.argmin(pass_vals, axis=1)
         best = np.minimum(best, pass_vals[[0, 1], k])
-        step = (right - left) / (_REFINE - 1)
-        centre = grid[[0, 1], k]
-        left, right = centre - step, centre + step
+        centre, step = grid[[0, 1], k], (right - left) / (_REFINE - 1)
     return CredibilityUnion(lo=float(best[0]), hi=float(-best[1]), gamma=gamma)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -110,6 +110,7 @@ class LineSegmentSpec:
 
 
 ShapeSpec = Union[BoatshapeSpec, RectangleSpec, LineSegmentSpec]
+_Edge = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -166,15 +167,43 @@ def boat_contours(spec: BoatshapeSpec, eta0: float) -> tuple[float, float]:
     return -upper, upper
 
 
-class _Piece:
-    """One smooth arc of a set boundary with its polyline arc-length table."""
+def _edges(spec: ShapeSpec) -> tuple[_Edge, _Edge]:
+    """The lower and upper edge of an unshifted set, each a map from ``u`` in
+    ``[0, 1]`` to ``(eta0, eta1)`` arrays running left to right in the
+    symmetry frame: a boat's two contours rotated about the apex, a
+    rectangle's ``y_lo`` and ``y_hi`` edges over ``n0`` in ``[n_lo, n_hi]``, a
+    segment's two end points (constant in ``u``).
 
-    def __init__(self, func: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]):
-        self.func = func
-        x, y = func(_ARC_NODES)
-        seg = np.hypot(np.diff(x), np.diff(y))
-        self.cum = np.concatenate([[0.0], np.cumsum(seg)])
-        self.length = float(self.cum[-1])
+    Invariant: every section of the set along ``v = (-sin theta, cos theta)``,
+    with ``theta = atan(y_c - 1/2)`` (``0`` for rectangles and segments), runs
+    from ``lower(u)`` to ``upper(u)``.
+    """
+    if isinstance(spec, BoatshapeSpec):
+        lo, hi, a, b = spec.eta0_lo, spec.eta0_hi, spec.a, spec.b
+        c, s = _rotation_cs(spec.y_c)
+
+        def contour(u, sign):
+            x = lo + (hi - lo) * u
+            y = sign * a * (1.0 - np.exp(-b * (x - lo)))
+            return -2.0 + c * (x + 2.0) - s * y, s * (x + 2.0) + c * y
+
+        return (lambda u: contour(u, -1.0)), (lambda u: contour(u, 1.0))
+
+    # a segment is the rectangle with n_lo = n_hi = n0
+    nlo, nhi = (spec.n_lo, spec.n_hi) if isinstance(spec, RectangleSpec) else (spec.n0, spec.n0)
+
+    def at_mean(u, yv):
+        n = nlo + (nhi - nlo) * u
+        return n - 2.0, n * (yv - 0.5)
+
+    return (lambda u: at_mean(u, spec.y_lo)), (lambda u: at_mean(u, spec.y_hi))
+
+
+class _Piece(NamedTuple):
+    """One smooth arc of a set boundary with its arc lengths ``cum`` at ``_ARC_NODES``."""
+
+    func: _Edge
+    cum: np.ndarray
 
 
 class _Geometry:
@@ -182,7 +211,7 @@ class _Geometry:
 
     def __init__(self, pieces: list[_Piece]):
         self.pieces = pieces
-        lens = np.array([p.length for p in pieces])
+        lens = np.array([p.cum[-1] for p in pieces])
         self.total = float(lens.sum())
         self.ends = np.cumsum(lens)
         self.starts = self.ends - lens
@@ -214,15 +243,9 @@ class _Geometry:
         y = np.empty_like(ell)
         for k, piece in enumerate(self.pieces):
             m = idx == k
-            if not m.any():
-                continue
-            if piece.length > 0.0:
+            if m.any():
                 u = np.interp(ell[m] - self.starts[k], piece.cum, _ARC_NODES)
-            else:
-                u = np.zeros(int(m.sum()))
-            px, py = piece.func(u)
-            x[m] = px
-            y[m] = py
+                x[m], y[m] = piece.func(u)
         return x, y
 
 
@@ -231,61 +254,35 @@ class _Geometry:
 # memory flat while fresh specs stream through.
 @lru_cache(maxsize=16)
 def _geometry(spec: ShapeSpec) -> _Geometry:
-    if isinstance(spec, BoatshapeSpec):
-        lo, hi, a, b = spec.eta0_lo, spec.eta0_hi, spec.a, spec.b
-        c, s = _rotation_cs(spec.y_c)
+    """The closed boundary from the edges of :func:`_edges`: the upper edge
+    forward, the straight end from ``upper(1)`` down to ``lower(1)``, the lower
+    edge backward, and the straight end from ``lower(0)`` up to ``upper(0)``.
+    A piece whose two ends coincide (a boat's bow, a segment's edges) has zero
+    length, as every edge runs left to right, and is left out."""
+    lower, upper = _edges(spec)
+    (lx, ly), (ux, uy) = lower(_ARC_NODES), upper(_ARC_NODES)
 
-        def rot(x, y):
-            dx = x + 2.0
-            return -2.0 + c * dx - s * y, s * dx + c * y
+    def edge(func, x, y):
+        """The piece along an edge sampled at ``_ARC_NODES``, if it moves."""
+        if (x[0], y[0]) != (x[-1], y[-1]):
+            seg = np.hypot(np.diff(x), np.diff(y))
+            return _Piece(func, np.concatenate([[0.0], np.cumsum(seg)]))
 
-        def contour(x):
-            return a * (1.0 - np.exp(-b * (x - lo)))
+    def line(x0, y0, x1, y1):
+        """A straight end, if it moves: its arc length is linear in ``u``."""
+        if (x0, y0) != (x1, y1):
+            return _Piece(
+                lambda u: (x0 + (x1 - x0) * u, y0 + (y1 - y0) * u),
+                math.hypot(x1 - x0, y1 - y0) * _ARC_NODES,
+            )
 
-        def upper(u):
-            x = lo + (hi - lo) * u
-            return rot(x, contour(x))
-
-        def stern(u):
-            top = a * (1.0 - math.exp(-b * (hi - lo)))
-            return rot(np.full_like(u, hi), top * (1.0 - 2.0 * u))
-
-        def lower(u):
-            x = hi - (hi - lo) * u
-            return rot(x, -contour(x))
-
-        return _Geometry([_Piece(upper), _Piece(stern), _Piece(lower)])
-
-    if isinstance(spec, RectangleSpec):
-        nlo, nhi, ylo, yhi = spec.n_lo, spec.n_hi, spec.y_lo, spec.y_hi
-
-        def top(u):
-            n = nlo + (nhi - nlo) * u
-            return n - 2.0, n * (yhi - 0.5)
-
-        def right(u):
-            yv = yhi - (yhi - ylo) * u
-            return np.full_like(u, nhi - 2.0), nhi * (yv - 0.5)
-
-        def bottom(u):
-            n = nhi - (nhi - nlo) * u
-            return n - 2.0, n * (ylo - 0.5)
-
-        def left(u):
-            yv = ylo + (yhi - ylo) * u
-            return np.full_like(u, nlo - 2.0), nlo * (yv - 0.5)
-
-        return _Geometry([_Piece(top), _Piece(right), _Piece(bottom), _Piece(left)])
-
-    n0, ylo, yhi = spec.n0, spec.y_lo, spec.y_hi
-
-    def down(u):
-        return np.full_like(u, n0 - 2.0), n0 * (yhi - 0.5) - u * n0 * (yhi - ylo)
-
-    def up(u):
-        return np.full_like(u, n0 - 2.0), n0 * (ylo - 0.5) + u * n0 * (yhi - ylo)
-
-    return _Geometry([_Piece(down), _Piece(up)])
+    pieces = [
+        edge(upper, ux, uy),
+        line(ux[-1], uy[-1], lx[-1], ly[-1]),
+        edge(lambda u: lower(1.0 - u), lx[::-1], ly[::-1]),
+        line(lx[0], ly[0], ux[0], uy[0]),
+    ]
+    return _Geometry([p for p in pieces if p] or [_Piece(upper, np.zeros(1))])
 
 
 def _boundary_xy(set_: EtaSet, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,11 +298,9 @@ def _scan_xy(set_: EtaSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return geom.scan_ts, x + set_.shift[0], y + set_.shift[1]
 
 
-def _contains_mask(
-    set_: EtaSet, eta0: np.ndarray, eta1: np.ndarray, tol: float = _MEMBER_TOL
-) -> np.ndarray:
+def _contains_mask(set_: EtaSet, eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:
     """Vectorized membership: pull back the shift (and rotation) and test the
-    defining inequalities with slack ``tol``."""
+    defining inequalities with slack ``_MEMBER_TOL``."""
     x = np.asarray(eta0, dtype=float) - set_.shift[0]
     y = np.asarray(eta1, dtype=float) - set_.shift[1]
     spec = set_.spec
@@ -317,23 +312,24 @@ def _contains_mask(
             y = -s * dx + c * y
         dx = x - spec.eta0_lo
         contour = spec.a * (1.0 - np.exp(-spec.b * np.maximum(dx, 0.0)))
-        return (dx >= -tol) & (x <= spec.eta0_hi + tol) & (np.abs(y) <= contour + tol)
+        inside = np.abs(y) <= contour + _MEMBER_TOL
+        return (dx >= -_MEMBER_TOL) & (x <= spec.eta0_hi + _MEMBER_TOL) & inside
     n0 = x + 2.0
     ok = n0 > 0.0
     yv = y / np.where(ok, n0, 1.0) + 0.5
     if isinstance(spec, RectangleSpec):
         return (
             ok
-            & (n0 >= spec.n_lo - tol)
-            & (n0 <= spec.n_hi + tol)
-            & (yv >= spec.y_lo - tol)
-            & (yv <= spec.y_hi + tol)
+            & (n0 >= spec.n_lo - _MEMBER_TOL)
+            & (n0 <= spec.n_hi + _MEMBER_TOL)
+            & (yv >= spec.y_lo - _MEMBER_TOL)
+            & (yv <= spec.y_hi + _MEMBER_TOL)
         )
     return (
         ok
-        & (np.abs(n0 - spec.n0) <= tol)
-        & (yv >= spec.y_lo - tol)
-        & (yv <= spec.y_hi + tol)
+        & (np.abs(n0 - spec.n0) <= _MEMBER_TOL)
+        & (yv >= spec.y_lo - _MEMBER_TOL)
+        & (yv <= spec.y_hi + _MEMBER_TOL)
     )
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, formats, config files, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ SKEWED_BOAT_FLAGS = [
     "--eta0-lo", "-1", "--eta0-hi", "20", "--a", "1", "--b", "0.4", "--y-c", "0.75",
 ]
 SEGMENT_FLAGS = ["--kind", "segment", "--n0", "2", "--y-lo", "0.4", "--y-hi", "0.6"]
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run(argv, capsys):
@@ -262,6 +264,29 @@ class TestValidateCommand:
         )
         assert code == 2
         assert out.splitlines()[1].startswith("false")
+
+    def test_exact_check_decides_between_samples(self, capsys):
+        # tests/test_shapes.py::test_violation_between_samples_refused: the
+        # boat leaves the wedge between validate's samples
+        flags = ["--kind", "boat", "--eta0-lo", "-1", "--eta0-hi", "20",
+                 "--a", "2.723440572058252", "--b", "0.4", "--y-c", "0.5"]
+        code, out, err = run(["validate", *flags], capsys)
+        assert code == 2
+        header, row = out.strip().splitlines()
+        assert header == "ok,worst_margin,worst_eta0,worst_eta1,samples"
+        ok, margin, *_, samples = row.split(",")
+        assert ok == "false"
+        assert 0.0 < float(margin) < 1e-6 and int(samples) >= 10000  # sampled, as before
+        assert "margin -4.000e-09" in err
+        code, _, err = run(["bounds", *flags, "--n", "0", "--s", "0"], capsys)
+        assert code == 2 and "margin -4.000e-09" in err
+
+    def test_skewed_config_validates(self, capsys):
+        code, out, err = run(
+            ["validate", "--shape-config", str(CONFIGS / "boat_skewed.cfg")], capsys
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].startswith("true")
 
 
 class TestConfigAndOutput:

@@ -27,7 +27,7 @@ from boatshape import (
     shadow,
     updated,
 )
-from boatshape.shapes import _boundary_xy
+from boatshape.shapes import _boundary_xy, _geometry
 from conftest import canonical_route_bounds, random_boat_spec
 
 # Frozen from quadrature of the unnormalized kernel p^2 (1-p)^4 on [0, 1]
@@ -375,6 +375,26 @@ class TestCredibilityUnion:
         beta = np.array([n0 * (1.0 - y0) + n - s for n0, y0 in corners])
         assert union.lo == pytest.approx(np.min(scipy_betaincinv(alpha, beta, 0.25)), abs=1e-12)
         assert union.hi == pytest.approx(np.max(scipy_betaincinv(alpha, beta, 0.75)), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [0.0, 10.0, 1e6])
+    def test_segment_union_is_two_quantiles(self, n):
+        n0, y_lo, y_hi, s = 4.0, 0.3, 0.6, 0.4 * n
+        union = credibility_union(segment_set(n0, y_lo, y_hi), BinomialData(n, s), 0.9)
+        ref_lo = scipy_betaincinv(n0 * y_lo + s, n0 * (1.0 - y_lo) + n - s, 0.05)
+        ref_hi = scipy_betaincinv(n0 * y_hi + s, n0 * (1.0 - y_hi) + n - s, 0.95)
+        assert union.lo == pytest.approx(float(ref_lo), abs=1e-12)
+        assert union.hi == pytest.approx(float(ref_hi), abs=1e-12)
+
+    def test_union_builds_no_geometry(self):
+        fresh = [  # used nowhere else, so a geometry would be built anew
+            boat_set(-1.3, 13.0, 0.35, 0.55, 0.62),
+            rectangle_set(1.7, 9.1, 0.23, 0.61),
+            segment_set(5.3, 0.27, 0.71),
+        ]
+        before = _geometry.cache_info()
+        for set_ in fresh:
+            credibility_union(set_, BinomialData(7.0, 2.0), 0.8)
+        assert _geometry.cache_info() == before
 
 
 class TestNonFinite:

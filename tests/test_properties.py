@@ -6,6 +6,7 @@ derandomized, so every run checks the same cases.
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from boatshape import (
     LearningPhase,
     agreement_thresholds,
     boat_set,
+    credibility_union,
     grid_shadow,
     learning_phase,
     rectangle_set,
@@ -24,6 +26,8 @@ from boatshape import (
     updated,
     validate,
 )
+from boatshape.inference import _quantile_vec
+from boatshape.shapes import _boundary_xy
 from conftest import admissible_half_width
 
 #: Grid oracle resolution, and how far its inner approximation may fall short
@@ -77,6 +81,12 @@ def any_set() -> st.SearchStrategy[EtaSet]:
 @st.composite
 def data(draw) -> BinomialData:
     n = draw(st.sampled_from((0.0, 1.0, 10.0, 100.0))) * draw(unit(0.5, 1.5))
+    return BinomialData(n, draw(unit(0.0, 1.0)) * n)
+
+
+@st.composite
+def wide_data(draw) -> BinomialData:
+    n = draw(st.sampled_from((0.0, 1.0, 10.0, 1e3, 1e6))) * draw(unit(0.5, 1.0))
     return BinomialData(n, draw(unit(0.0, 1.0)) * n)
 
 
@@ -178,3 +188,18 @@ def test_rectangle_phase_follows_the_mean_range(prior, d):
     else:
         expected = (d.s < d.n * spec.y_hi, d.s < d.n * spec.y_lo)
     assert stuck_flags(phase) == expected
+
+
+@settings(max_examples=30)
+@given(st.one_of(dyadic_boats(st.just(32)), any_set()), wide_data(), unit(0.05, 0.95))
+def test_union_holds_every_boundary_endpoint(prior, d, gamma):
+    # The edge search against a dense sample of the whole posterior boundary,
+    # both evaluated by the same quantile routine: no sampled element may
+    # reach past the union.
+    union = credibility_union(prior, d, gamma)
+    x, y = _boundary_xy(updated(prior, d), np.arange(20000) / 20000.0)
+    half = 0.5 * (x + 2.0)
+    levels = np.array([[0.5 * (1.0 - gamma)], [0.5 * (1.0 + gamma)]])
+    q = _quantile_vec(half + y, half - y, levels)
+    assert q[0].min() >= union.lo - 1e-10
+    assert q[1].max() <= union.hi + 1e-10
