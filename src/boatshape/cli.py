@@ -1,19 +1,26 @@
 """Command-line interface: bounds, sweeps, credibility unions, thresholds,
 coordinate transforms, and set validation.
 
-Shapes come from a flat ``key = value`` config file (``--shape-config``) or
-equivalent inline flags.  Tables are emitted as CSV or JSON with floats
-printed to 12 significant digits, so reruns are bit-identical.  Exit codes:
-0 success, 2 validation failure, 3 numeric failure.
+Each subcommand is one entry of ``_COMMANDS``: its handler, help text, number
+flags and output columns, and for ``bounds``, ``sweep`` and ``credibility`` the
+grid-oracle columns that ``--verify`` appends (only those three take
+``--verify``/``--grid``).  Shapes come from a flat ``key = value`` config file
+(``--shape-config``) or equivalent inline flags.  A handler yields its table as
+row dicts, and ``main`` prints it through ``_emit``, which selects the columns,
+as CSV or JSON with floats printed to 12 significant digits, so reruns are
+bit-identical.  Exit codes: 0 success, 2 validation failure (including a flag
+the subcommand does not take and a sweep of more than ``_MAX_ROWS`` rows), 3
+numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from typing import Any
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import InvalidParameterError, NumericError
 from .inference import credibility_union
@@ -31,6 +38,10 @@ from .touchpoint import _require_admissible, agreement_thresholds, shadow, termi
 
 #: Every inline shape flag, each once, in the order of ``_SPEC_FIELDS``.
 _SHAPE_NAMES = tuple(dict.fromkeys(name for names in _SPEC_FIELDS.values() for name in names))
+#: Most rows one ``sweep`` prints; a longer sweep is refused before any row is built.
+_MAX_ROWS = 1_000_000
+
+_Table = list[dict[str, Any]]
 
 
 def _finite_float(text: str) -> float:
@@ -60,7 +71,7 @@ def _json_value(value: Any) -> Any:
     return value
 
 
-def _emit(rows: list[dict[str, Any]], columns: list[str], args) -> None:
+def _emit(rows: _Table, columns: list[str], args) -> None:
     if args.format == "json":
         payload = [{k: _json_value(row.get(k)) for k in columns} for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
@@ -106,11 +117,8 @@ def _load_set(args, check: bool = True) -> EtaSet:
         if not args.kind:
             raise InvalidParameterError("a shape is required: --shape-config or --kind")
         record = {"kind": args.kind, **inline}
-    if args.shift0 is not None:
-        record["shift0"] = args.shift0
-    if args.shift1 is not None:
-        record["shift1"] = args.shift1
-    return from_record(record, check=check)
+    shifts = {k: getattr(args, k) for k in ("shift0", "shift1") if getattr(args, k) is not None}
+    return from_record({**record, **shifts}, check=check)
 
 
 def _require(args, *names: str) -> None:
@@ -119,122 +127,74 @@ def _require(args, *names: str) -> None:
         raise InvalidParameterError(f"missing required flags: {', '.join(missing)}")
 
 
-def _boat_extras(set_: EtaSet, n: float) -> tuple[float | None, float | None]:
-    """Sticking thresholds for boats; blank for shapes without them."""
-    if isinstance(set_.spec, BoatshapeSpec):
-        th = agreement_thresholds(set_.spec, n)
-        return th.s_u, th.s_l
-    return None, None
-
-
-def _cmd_bounds(args) -> int:
-    _require(args, "n", "s")
-    set_ = _load_set(args)
-    data = BinomialData(args.n, args.s)
-    result = shadow(updated(set_, data))
-    row: dict[str, Any] = {
-        "y_lo": result.y_lo,
-        "y_hi": result.y_hi,
-        "delta": result.y_hi - result.y_lo,
-        "tp_lo": result.tp_lo,
-        "tp_hi": result.tp_hi,
-        "phase": result.phase.value,
-    }
-    columns = ["y_lo", "y_hi", "delta", "tp_lo", "tp_hi", "phase"]
+def _shadow_row(set_: EtaSet, data: BinomialData, args) -> dict[str, Any]:
+    """Bounds, width, touchpoints and phase of the posterior set, plus the
+    grid-oracle columns under ``--verify``: the row of ``bounds`` and, with
+    ``s`` and the thresholds added, of ``sweep``."""
+    post = updated(set_, data)
+    result = shadow(post)
+    row = {**vars(result), "delta": result.y_hi - result.y_lo, "phase": result.phase.value}
     if args.verify:
-        g_lo, g_hi = grid_shadow(updated(set_, data), GridSpec(args.grid))
-        row["grid_y_lo"] = g_lo
-        row["grid_y_hi"] = g_hi
-        row["disagreement"] = max(abs(g_lo - result.y_lo), abs(g_hi - result.y_hi))
-        columns += ["grid_y_lo", "grid_y_hi", "disagreement"]
-    _emit([row], columns, args)
-    return 0
+        g_lo, g_hi = grid_shadow(post, GridSpec(args.grid))
+        row.update(grid_y_lo=g_lo, grid_y_hi=g_hi,
+                   disagreement=max(abs(g_lo - result.y_lo), abs(g_hi - result.y_hi)))
+    return row
+
+
+def _cmd_bounds(args) -> Iterator[_Table]:
+    _require(args, "n", "s")
+    yield [_shadow_row(_load_set(args), BinomialData(args.n, args.s), args)]
 
 
 def _sweep_values(args) -> list[float]:
     start = args.s_from if args.s_from is not None else 0.0
     stop = args.s_to if args.s_to is not None else args.n
-    step = args.s_step
+    step = args.s_step if args.s_step is not None else 1.0
     if step <= 0.0:
         raise InvalidParameterError(f"sweep step violates step > 0: got {step}")
-    values = []
-    k = 0
-    while True:
-        s = start + k * step
-        if s > stop + 1e-12:
-            break
-        values.append(min(s, stop))
-        k += 1
-    return values
+    span = (stop - start) / step
+    if span >= _MAX_ROWS:
+        raise InvalidParameterError(f"sweep of {span + 1:.0f} rows violates rows <= {_MAX_ROWS}")
+    grid = (start + k * step for k in itertools.count())
+    return [min(s, stop) for s in itertools.takewhile(lambda s: s <= stop + 1e-12, grid)]
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> Iterator[_Table]:
     _require(args, "n")
     set_ = _load_set(args)
-    s_u, s_l = _boat_extras(set_, args.n)
-    rows = []
-    columns = ["s", "y_lo", "y_hi", "delta", "phase", "s_u", "s_l"]
-    if args.verify:
-        columns += ["grid_y_lo", "grid_y_hi", "disagreement"]
-    for s in _sweep_values(args):
-        data = BinomialData(args.n, s)
-        result = shadow(updated(set_, data))
-        row: dict[str, Any] = {
-            "s": s,
-            "y_lo": result.y_lo,
-            "y_hi": result.y_hi,
-            "delta": result.y_hi - result.y_lo,
-            "phase": result.phase.value,
-            "s_u": s_u,
-            "s_l": s_l,
-        }
-        if args.verify:
-            g_lo, g_hi = grid_shadow(updated(set_, data), GridSpec(args.grid))
-            row["grid_y_lo"] = g_lo
-            row["grid_y_hi"] = g_hi
-            row["disagreement"] = max(abs(g_lo - result.y_lo), abs(g_hi - result.y_hi))
-        rows.append(row)
-    _emit(rows, columns, args)
-    return 0
+    th = {}  # sticking thresholds for boats; blank for shapes without them
+    if isinstance(set_.spec, BoatshapeSpec):
+        th = vars(agreement_thresholds(set_.spec, args.n))
+    yield [
+        {"s": s, **th, **_shadow_row(set_, BinomialData(args.n, s), args)}
+        for s in _sweep_values(args)
+    ]
 
 
-def _cmd_credibility(args) -> int:
+def _cmd_credibility(args) -> Iterator[_Table]:
     _require(args, "n", "s", "gamma")
     set_ = _load_set(args)
     data = BinomialData(args.n, args.s)
     union = credibility_union(set_, data, args.gamma)
-    row: dict[str, Any] = {"lo": union.lo, "hi": union.hi, "gamma": union.gamma}
-    columns = ["lo", "hi", "gamma"]
+    row = {**vars(union)}
     if args.verify:
         ref = grid_credibility_union(set_, data, args.gamma, GridSpec(args.grid))
-        row["grid_lo"] = ref.lo
-        row["grid_hi"] = ref.hi
-        row["disagreement"] = max(abs(ref.lo - union.lo), abs(ref.hi - union.hi))
-        columns += ["grid_lo", "grid_hi", "disagreement"]
-    _emit([row], columns, args)
-    return 0
+        row.update(grid_lo=ref.lo, grid_hi=ref.hi,
+                   disagreement=max(abs(ref.lo - union.lo), abs(ref.hi - union.hi)))
+    yield [row]
 
 
-def _cmd_thresholds(args) -> int:
+def _cmd_thresholds(args) -> Iterator[_Table]:
     _require(args, "n")
     set_ = _load_set(args)
     if not isinstance(set_.spec, BoatshapeSpec):
         raise InvalidParameterError("thresholds are defined for boat shapes only")
     th = agreement_thresholds(set_.spec, args.n)
     upper_slope, lower_slope = terminal_slopes(set_.spec, args.n)
-    row = {
-        "s_u": th.s_u,
-        "s_l": th.s_l,
-        "happy_lo": th.happy_lo,
-        "happy_hi": th.happy_hi,
-        "upper_slope": upper_slope,
-        "lower_slope": lower_slope,
-    }
-    _emit([row], list(row.keys()), args)
-    return 0
+    yield [{**vars(th), "upper_slope": upper_slope, "lower_slope": lower_slope}]
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> Iterator[_Table]:
     has_canonical = args.n0 is not None and args.y0 is not None
     has_eta = args.eta0 is not None and args.eta1 is not None
     if has_canonical == has_eta:
@@ -249,13 +209,12 @@ def _cmd_transform(args) -> int:
         _require(args, "n", "s")
         p = update_eta(p, BinomialData(args.n, args.s))
         c = eta_to_canonical(p)
-    row = {"n0": c.n0, "y0": c.y0, "eta0": p.eta0, "eta1": p.eta1}
-    _emit([row], list(row.keys()), args)
-    return 0
+    yield [{**vars(c), **vars(p)}]
 
 
-def _cmd_validate(args) -> int:
-    """The sampled report; ``ok`` and the exit code come from the exact check."""
+def _cmd_validate(args) -> Iterator[_Table]:
+    """The sampled report; ``ok`` and the exit code come from the exact check,
+    and a refused set's report (``ok`` false) is printed before the refusal."""
     set_ = _load_set(args, check=False)
     report = validate(set_)
     row = {
@@ -269,25 +228,41 @@ def _cmd_validate(args) -> int:
         _require_admissible(set_)
         row["ok"] = True
     finally:
-        _emit([row], list(row.keys()), args)
-    return 0
+        yield [row]
 
 
-def _add_shape_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("shape")
-    group.add_argument("--shape-config", metavar="PATH", help="key = value shape file")
-    group.add_argument("--kind", choices=sorted(_SPEC_FIELDS), help="inline shape kind")
-    for name in _SHAPE_NAMES:
-        group.add_argument(f"--{name.replace('_', '-')}", dest=name, type=_finite_float)
-    group.add_argument("--shift0", type=_finite_float, help="pre-applied translation, first axis")
-    group.add_argument("--shift1", type=_finite_float, help="pre-applied translation, second axis")
+class _Command(NamedTuple):
+    """One subcommand: its handler and help text, its number flags (each a
+    finite float), the columns it prints, the columns ``--verify`` appends
+    (none: it takes no ``--verify``/``--grid``), and whether it reads a shape."""
+
+    func: Callable[[argparse.Namespace], Iterator[_Table]]
+    help: str
+    numbers: tuple[str, ...]
+    columns: tuple[str, ...]
+    oracle: tuple[str, ...] = ()
+    shape: bool = True
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    parser.add_argument("--verify", action="store_true", help="cross-check against the grid oracle")
-    parser.add_argument("--grid", type=int, default=2000, metavar="N", help="oracle resolution")
+_GRID_SHADOW = ("grid_y_lo", "grid_y_hi", "disagreement")
+_COMMANDS = {
+    "bounds": _Command(_cmd_bounds, "posterior mean bounds for one observation record",
+                       ("n", "s"), ("y_lo", "y_hi", "delta", "tp_lo", "tp_hi", "phase"),
+                       _GRID_SHADOW),
+    "sweep": _Command(_cmd_sweep, "bounds table over a range of success counts",
+                      ("n", "s_from", "s_to", "s_step"),
+                      ("s", "y_lo", "y_hi", "delta", "phase", "s_u", "s_l"), _GRID_SHADOW),
+    "credibility": _Command(_cmd_credibility, "union of central credibility intervals",
+                            ("n", "s", "gamma"), ("lo", "hi", "gamma"),
+                            ("grid_lo", "grid_hi", "disagreement")),
+    "thresholds": _Command(_cmd_thresholds, "sticking thresholds and terminal slopes", ("n",),
+                           ("s_u", "s_l", "happy_lo", "happy_hi", "upper_slope", "lower_slope")),
+    "transform": _Command(_cmd_transform, "convert between parametrizations",
+                          ("n0", "y0", "eta0", "eta1", "n", "s"), ("n0", "y0", "eta0", "eta1"),
+                          shape=False),
+    "validate": _Command(_cmd_validate, "check a set against the admissible wedge", (),
+                         ("ok", "worst_margin", "worst_eta0", "worst_eta1", "samples")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,63 +271,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Interval-valued Beta-Binomial inference over sets of priors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", help="posterior mean bounds for one observation record")
-    _add_shape_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--n", type=_finite_float)
-    p.add_argument("--s", type=_finite_float)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("sweep", help="bounds table over a range of success counts")
-    _add_shape_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--n", type=_finite_float)
-    p.add_argument("--s-from", dest="s_from", type=_finite_float)
-    p.add_argument("--s-to", dest="s_to", type=_finite_float)
-    p.add_argument("--s-step", dest="s_step", type=_finite_float, default=1.0)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("credibility", help="union of central credibility intervals")
-    _add_shape_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--n", type=_finite_float)
-    p.add_argument("--s", type=_finite_float)
-    p.add_argument("--gamma", type=_finite_float)
-    p.set_defaults(func=_cmd_credibility)
-
-    p = sub.add_parser("thresholds", help="sticking thresholds and terminal slopes")
-    _add_shape_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--n", type=_finite_float)
-    p.set_defaults(func=_cmd_thresholds)
-
-    p = sub.add_parser("transform", help="convert between parametrizations")
-    _add_common_flags(p)
-    p.add_argument("--n0", type=_finite_float)
-    p.add_argument("--y0", type=_finite_float)
-    p.add_argument("--eta0", type=_finite_float)
-    p.add_argument("--eta1", type=_finite_float)
-    p.add_argument("--n", type=_finite_float)
-    p.add_argument("--s", type=_finite_float)
-    p.set_defaults(func=_cmd_transform)
-
-    p = sub.add_parser("validate", help="check a set against the admissible wedge")
-    _add_shape_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=_cmd_validate)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.shape:
+            group = p.add_argument_group("shape")
+            group.add_argument("--shape-config", metavar="PATH", help="key = value shape file")
+            group.add_argument("--kind", choices=sorted(_SPEC_FIELDS), help="inline shape kind")
+            for field in _SHAPE_NAMES:
+                group.add_argument(f"--{field.replace('_', '-')}", dest=field, type=_finite_float)
+            group.add_argument("--shift0", type=_finite_float,
+                               help="pre-applied translation, first axis")
+            group.add_argument("--shift1", type=_finite_float,
+                               help="pre-applied translation, second axis")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+        if command.oracle:
+            p.add_argument("--verify", action="store_true",
+                           help="cross-check against the grid oracle")
+            p.add_argument("--grid", type=int, default=2000, metavar="N", help="oracle resolution")
+        for field in command.numbers:
+            p.add_argument(f"--{field.replace('_', '-')}", type=_finite_float)
+        p.set_defaults(verify=False)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    command = _COMMANDS[args.command]
+    columns = [*command.columns, *(command.oracle if args.verify else ())]
     try:
-        return args.func(args)
+        for table in command.func(args):
+            _emit(table, columns, args)
+        return 0
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

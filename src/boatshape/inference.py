@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericError
 from .params import BinomialData, CanonicalParams, _require_finite, _two_prod
-from .shapes import EtaSet, LineSegmentSpec, RectangleSpec, _edges, updated
+from .shapes import EtaSet, RectangleSpec, _edges, updated
 from .touchpoint import _require_admissible, shadow
 
 _CF_MAX_ITER = 300
@@ -501,7 +501,9 @@ def credibility_union(set_: EtaSet, d: BinomialData, gamma: float) -> Credibilit
         half = 0.5 * (x + 2.0)
         return sign[:, None] * _quantile_vec(half + y, half - y, levels)
 
-    point = isinstance(post.spec, LineSegmentSpec)  # each edge is one point: nothing to search
+    # edges that do not move (a segment, a flat rectangle) are one point each: nothing to search
+    ends = np.array([0.0, 1.0])
+    point = not np.ptp([*lower(ends), *upper(ends)], axis=1).any()
     u = np.linspace(0.0, 1.0, 1 if point else _SCAN)
     vals = endpoints(np.stack([u, u]))
     k = np.argmin(vals, axis=1)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericError
 from .inference import CredibilityUnion, _quantile_vec
-from .params import BinomialData
+from .params import BinomialData, _require_finite
 from .shapes import EtaSet, _boundary_xy, _contains_mask, _geometry, updated
 
 #: Grid rows are processed in blocks to bound peak memory at high resolution.
@@ -29,6 +29,7 @@ class GridSpec:
     margin: float = 1e-9
 
     def __post_init__(self) -> None:
+        _require_finite("grid", resolution=self.resolution, margin=self.margin)
         if not self.resolution >= 2:
             raise InvalidParameterError(
                 f"grid resolution violates resolution >= 2: got {self.resolution}"

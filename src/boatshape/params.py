@@ -110,6 +110,7 @@ def canonical_to_eta(c: CanonicalParams) -> EtaPoint:
 
 def ray_eta1(y_c: float, eta0: float) -> float:
     """The ``eta1`` ordinate of the constant-mean ray for ``y_c`` at abscissa ``eta0``."""
+    _require_finite("ray", y_c=y_c, eta0=eta0)
     if not 0.0 < y_c < 1.0:
         raise InvalidParameterError(f"ray mean violates 0 < y_c < 1: got {y_c}")
     if not eta0 > -2.0:

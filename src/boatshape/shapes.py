@@ -150,6 +150,7 @@ def _rotation_cs(y_c: float) -> tuple[float, float]:
 
 def rotate_about_apex(point: tuple[float, float], y_c: float) -> tuple[float, float]:
     """Rotate a point about ``(-2, 0)`` so the axis maps onto the ``y_c`` ray."""
+    _require_finite("point", eta0=point[0], eta1=point[1])
     if not 0.0 < y_c < 1.0:
         raise InvalidParameterError(f"central mean violates 0 < y_c < 1: got {y_c}")
     c, s = _rotation_cs(y_c)
@@ -165,6 +166,13 @@ def boat_contours(spec: BoatshapeSpec, eta0: float) -> tuple[float, float]:
         )
     upper = spec.a * (1.0 - math.exp(-spec.b * (eta0 - spec.eta0_lo)))
     return -upper, upper
+
+
+def _strengths(spec: RectangleSpec | LineSegmentSpec) -> tuple[float, float]:
+    """The strength range ``(n_lo, n_hi)``; a segment is the flat rectangle ``(n0, n0)``."""
+    if isinstance(spec, LineSegmentSpec):
+        return spec.n0, spec.n0
+    return spec.n_lo, spec.n_hi
 
 
 def _edges(spec: ShapeSpec) -> tuple[_Edge, _Edge]:
@@ -189,8 +197,7 @@ def _edges(spec: ShapeSpec) -> tuple[_Edge, _Edge]:
 
         return (lambda u: contour(u, -1.0)), (lambda u: contour(u, 1.0))
 
-    # a segment is the rectangle with n_lo = n_hi = n0
-    nlo, nhi = (spec.n_lo, spec.n_hi) if isinstance(spec, RectangleSpec) else (spec.n0, spec.n0)
+    nlo, nhi = _strengths(spec)
 
     def at_mean(u, yv):
         n = nlo + (nhi - nlo) * u
@@ -317,17 +324,11 @@ def _contains_mask(set_: EtaSet, eta0: np.ndarray, eta1: np.ndarray) -> np.ndarr
     n0 = x + 2.0
     ok = n0 > 0.0
     yv = y / np.where(ok, n0, 1.0) + 0.5
-    if isinstance(spec, RectangleSpec):
-        return (
-            ok
-            & (n0 >= spec.n_lo - _MEMBER_TOL)
-            & (n0 <= spec.n_hi + _MEMBER_TOL)
-            & (yv >= spec.y_lo - _MEMBER_TOL)
-            & (yv <= spec.y_hi + _MEMBER_TOL)
-        )
+    n_lo, n_hi = _strengths(spec)
     return (
         ok
-        & (np.abs(n0 - spec.n0) <= _MEMBER_TOL)
+        & (n0 >= n_lo - _MEMBER_TOL)
+        & (n0 <= n_hi + _MEMBER_TOL)
         & (yv >= spec.y_lo - _MEMBER_TOL)
         & (yv <= spec.y_hi + _MEMBER_TOL)
     )

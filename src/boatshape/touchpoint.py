@@ -35,8 +35,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParameterError, NumericError
-from .params import BinomialData, _two_prod
-from .shapes import BoatshapeSpec, EtaSet, RectangleSpec, _boundary_xy, _rotation_cs, _scan_xy
+from .params import BinomialData, _require_finite, _two_prod
+from .shapes import BoatshapeSpec, EtaSet, _boundary_xy, _rotation_cs, _scan_xy, _strengths
 
 _MAX_ITER = 200
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -244,6 +244,7 @@ def agreement_thresholds(spec: BoatshapeSpec, n: float) -> AgreementThresholds:
     ``eta1 -> -eta1`` maps the boat onto the ``1 - y_c`` ray and ``s`` onto
     ``n - s``, so ``happy_lo`` is ``n`` minus that boat's first sticking point.
     """
+    _require_finite("trial count", n=n)
     if not n >= 0.0:
         raise InvalidParameterError(f"trial count violates n >= 0: got {n}")
     s_u, s_l = _first_sticking(spec, n, spec.y_c - 0.5)
@@ -260,6 +261,7 @@ def terminal_slopes(spec: BoatshapeSpec, n: float) -> tuple[float, float]:
     sine of ``atan(y_c - 1/2)``, ``1/(c (eta0_lo + 2) + n)`` and
     ``1/(c (eta0_hi + 2) + sn a (1 - exp(-b (eta0_hi - eta0_lo))) + n)``.
     """
+    _require_finite("trial count", n=n)
     if not n >= 0.0:
         raise InvalidParameterError(f"trial count violates n >= 0: got {n}")
     c, sn = _rotation_cs(spec.y_c)
@@ -327,8 +329,8 @@ def _require_admissible(set_: EtaSet) -> None:
     if isinstance(spec, BoatshapeSpec):
         _boat_shadow(spec, d0, d1)
         return
-    ns = (spec.n_lo, spec.n_hi) if isinstance(spec, RectangleSpec) else (spec.n0,)
-    ratios = [(n * (y - 0.5) + d1) / (n + d0) for n in ns for y in (spec.y_lo, spec.y_hi)]
+    ys = (spec.y_lo, spec.y_hi)
+    ratios = [(n * (y - 0.5) + d1) / (n + d0) for n in _strengths(spec) for y in ys]
     _require_inside(0.5 - max(map(abs, ratios)))
 
 
@@ -338,8 +340,9 @@ def _numeric_shadow(set_: EtaSet) -> ShadowResult:
     r_lo, p_lo = _boundary_extremum(set_, -1.0)
     spec = set_.spec
     d0, d1 = set_.shift
-    up = low = False  # segments have no abscissa extent, no sticking mechanism
-    if isinstance(spec, RectangleSpec) and spec.n_hi > spec.n_lo:
+    n_lo, n_hi = _strengths(spec)
+    up = low = False  # a flat set (a segment) has no abscissa extent: nothing sticks
+    if n_hi > n_lo:
         # Along the edge of prior mean y the posterior mean falls toward the
         # stern iff s > n y.  A bound is stuck iff its terminal corner (bow for
         # the upper, stern for the lower, swapped for d1 < 0) strictly wins;

@@ -1,6 +1,11 @@
 """Command-line surface: outputs, formats, config files, and exit codes."""
 
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,7 +26,8 @@ SKEWED_BOAT_FLAGS = [
     "--eta0-lo", "-1", "--eta0-hi", "20", "--a", "1", "--b", "0.4", "--y-c", "0.75",
 ]
 SEGMENT_FLAGS = ["--kind", "segment", "--n0", "2", "--y-lo", "0.4", "--y-hi", "0.6"]
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def run(argv, capsys):
@@ -144,6 +150,12 @@ class TestSweep:
         _, first, _ = run(argv, capsys)
         _, second, _ = run(argv, capsys)
         assert first == second
+
+    def test_row_limit_refused_before_any_row(self, capsys):
+        code, out, err = run(["sweep", *SEGMENT_FLAGS, "--n", "10", "--s-step", "1e-9"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "sweep of 10000000001 rows" in err
 
     def test_json_rows(self, capsys):
         code, out, _ = run(
@@ -367,3 +379,52 @@ class TestConfigAndOutput:
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("flag", [["--verify"], ["--grid", "100"]], ids=["verify", "grid"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thresholds", *LONG_BOAT_FLAGS, "--n", "10"],
+            ["transform", "--n0", "2", "--y0", "0.5"],
+            ["validate", *LONG_BOAT_FLAGS],
+        ],
+        ids=["thresholds", "transform", "validate"],
+    )
+    def test_oracle_flags_need_an_oracle(self, argv, flag, capsys):
+        code, out, err = run([*argv, *flag], capsys)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+
+def test_readme_commands(monkeypatch, capsys):
+    """Every command under "## Command line" exits 0 and prints the header
+    documented for it under "Output schemas"."""
+    usage = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Command line\n")[1]
+    block = usage.split("```sh\n", 1)[1].split("```", 1)[0]
+    schemas = usage.split("\n### Output schemas\n", 1)[1].split("\n### ", 1)[0]
+    headers = dict(re.findall(r"^\| `(\w+)` \| `([\w,]+)` \|$", schemas, re.M))
+    lines = block.splitlines()
+    assert len(lines) == len(headers) == 6
+    monkeypatch.chdir(ROOT)
+    for line in lines:
+        prog, command, *argv = shlex.split(line)
+        assert prog == "boatshape"
+        code, out, err = run([command, *argv], capsys)
+        assert (code, err) == (0, ""), line
+        assert out.splitlines()[0] == headers[command], line
+
+
+def test_import_footprint():
+    # numpy is the only runtime dependency, and numpy.polynomial loads only
+    # when the tail quadrature first runs: a shell call pays for neither
+    probe = (
+        "import sys, boatshape.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'hypothesis') or m.startswith('numpy.polynomial')))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

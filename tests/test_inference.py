@@ -385,6 +385,24 @@ class TestCredibilityUnion:
         assert union.lo == pytest.approx(float(ref_lo), abs=1e-12)
         assert union.hi == pytest.approx(float(ref_hi), abs=1e-12)
 
+    def test_flat_rectangle_union_is_the_segments(self, monkeypatch):
+        import boatshape.inference as inference
+
+        calls = []
+        quantile_vec = inference._quantile_vec
+
+        def counted(*args):
+            calls.append(args)
+            return quantile_vec(*args)
+
+        monkeypatch.setattr(inference, "_quantile_vec", counted)
+        d = BinomialData(10.0, 4.0)
+        seg = credibility_union(segment_set(3.0, 0.3, 0.7), d, 0.9)
+        calls.clear()
+        flat = credibility_union(rectangle_set(3.0, 3.0, 0.3, 0.7), d, 0.9)
+        assert (flat.lo, flat.hi) == (seg.lo, seg.hi)
+        assert len(calls) == 1
+
     def test_union_builds_no_geometry(self):
         fresh = [  # used nowhere else, so a geometry would be built anew
             boat_set(-1.3, 13.0, 0.35, 0.55, 0.62),

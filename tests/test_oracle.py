@@ -1,5 +1,7 @@
 """Brute-force grid envelopes: agreement, convergence, and determinism."""
 
+import math
+
 import pytest
 
 from boatshape import (
@@ -83,6 +85,13 @@ class TestGridDelta:
         assert grid_delta(rect, BinomialData(0, 0), GridSpec(resolution=300)) == pytest.approx(
             0.3, abs=1e-6
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["resolution", "margin"])
+def test_non_finite_grid_rejected(field, bad):
+    with pytest.raises(InvalidParameterError, match=f"finite {field}: got"):
+        GridSpec(**{field: bad})
 
 
 class TestGridCredibilityUnion:

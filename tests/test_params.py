@@ -123,6 +123,12 @@ class TestRays:
             p = EtaPoint(eta0, ray_eta1(y_c, eta0))
             assert eta_to_canonical(p).y0 == pytest.approx(y_c, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["y_c", "eta0"])
+    def test_non_finite_argument(self, field, bad):
+        with pytest.raises(InvalidParameterError, match=f"finite {field}: got"):
+            ray_eta1(**{"y_c": 0.5, "eta0": 1.0, field: bad})
+
     def test_out_of_range(self):
         with pytest.raises(InvalidParameterError):
             ray_eta1(1.0, 0.0)

@@ -88,6 +88,14 @@ class TestRotation:
             d1 = math.hypot(rot[i][0] - rot[i + 1][0], rot[i][1] - rot[i + 1][1])
             assert d1 == pytest.approx(d0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_point_rejected(self, axis, bad):
+        point = [0.0, 0.0]
+        point[axis] = bad
+        with pytest.raises(InvalidParameterError, match=f"finite eta{axis}: got"):
+            rotate_about_apex(tuple(point), 0.6)
+
 
 class TestMembership:
     def test_rectangle_midpoint(self):

@@ -550,6 +550,13 @@ class TestThresholds:
                 assert happy == (th.happy_lo < s < th.happy_hi)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("func", [agreement_thresholds, terminal_slopes])
+def test_non_finite_trial_count_rejected(func, bad):
+    with pytest.raises(InvalidParameterError, match="finite n: got"):
+        func(LONG_BOAT, bad)
+
+
 class TestTerminalSlopes:
     def test_long_boat_formula(self):
         up, low = terminal_slopes(LONG_BOAT, 10.0)
