@@ -8,17 +8,21 @@ suite and the CLI ``--verify`` flag as an independent cross-check.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError
+from .errors import InvalidParameterError
 from .inference import CredibilityUnion, _quantile_vec
 from .params import BinomialData, _require_finite
 from .shapes import EtaSet, _boundary_xy, _contains_mask, _geometry, updated
 
-#: Grid rows are processed in blocks to bound peak memory at high resolution.
-_BLOCK_ROWS = 256
+#: Grid points tested per block: the oracle's memory stays flat in its resolution.
+_BLOCK = 1 << 16
+#: Largest grid resolution per axis (10^8 grid points).
+_MAX_RESOLUTION = 10_000
 
 
 @dataclass(frozen=True)
@@ -30,51 +34,39 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         _require_finite("grid", resolution=self.resolution, margin=self.margin)
-        if not self.resolution >= 2:
+        res = self.resolution
+        if not (isinstance(res, numbers.Integral) and 2 <= res <= _MAX_RESOLUTION):
             raise InvalidParameterError(
-                f"grid resolution violates resolution >= 2: got {self.resolution}"
+                f"grid resolution must be an integer in [2, {_MAX_RESOLUTION}]: got {res!r}"
             )
         if not self.margin > 0.0:
             raise InvalidParameterError(f"grid margin must be positive: got {self.margin}")
 
 
-def _boundary_sample(set_: EtaSet, g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    count = 4 * g.resolution
-    ts = np.unique(
-        np.concatenate([np.arange(count) / count, _geometry(set_.spec).corner_ts])
-    )
-    return _boundary_xy(set_, ts)
-
-
-def _member_sample(set_: EtaSet, g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Grid points passing membership, plus the dense boundary sample."""
-    bx, by = _boundary_sample(set_, g)
+def _member_blocks(set_: EtaSet, g: GridSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The dense boundary sample, then each block's grid points passing membership."""
+    bx, by = _boundary_xy(set_, _geometry(set_.spec).dense_ts(4 * g.resolution))
+    yield bx, by
     xs = np.linspace(bx.min(), bx.max(), g.resolution)
     ys = np.linspace(by.min(), by.max(), g.resolution)
-    kept_x = [bx]
-    kept_y = [by]
-    for start in range(0, len(ys), _BLOCK_ROWS):
-        gy, gx = np.meshgrid(ys[start : start + _BLOCK_ROWS], xs, indexing="ij")
+    rows = _BLOCK // g.resolution
+    for start in range(0, len(ys), rows):
+        gy, gx = np.meshgrid(ys[start : start + rows], xs, indexing="ij")
         gx = gx.ravel()
         gy = gy.ravel()
         keep = _contains_mask(set_, gx, gy)
         # stay clear of the open wedge boundary by the configured margin
         keep &= (gx + 2.0 >= g.margin) & (0.5 * (gx + 2.0) - np.abs(gy) >= g.margin)
-        if keep.any():
-            kept_x.append(gx[keep])
-            kept_y.append(gy[keep])
-    x = np.concatenate(kept_x)
-    y = np.concatenate(kept_y)
-    if len(x) == 0:
-        raise NumericError("grid produced no member points; set is degenerate")
-    return x, y
+        yield gx[keep], gy[keep]
 
 
 def grid_shadow(set_: EtaSet, g: GridSpec = GridSpec()) -> tuple[float, float]:
     """Expectation bounds by dense enumeration over the set."""
-    x, y = _member_sample(set_, g)
-    r = y / (x + 2.0)
-    return 0.5 + float(r.min()), 0.5 + float(r.max())
+    lo, hi = np.inf, -np.inf
+    for x, y in _member_blocks(set_, g):
+        r = y / (x + 2.0)
+        lo, hi = min(lo, r.min(initial=np.inf)), max(hi, r.max(initial=-np.inf))
+    return 0.5 + float(lo), 0.5 + float(hi)
 
 
 def grid_delta(set_: EtaSet, d: BinomialData, g: GridSpec = GridSpec()) -> float:
@@ -89,15 +81,12 @@ def grid_credibility_union(
     """Union of central credibility intervals by dense enumeration."""
     if not 0.0 < gamma < 1.0:
         raise InvalidParameterError(f"credibility level violates 0 < gamma < 1: got {gamma}")
-    x, y = _member_sample(updated(set_, d), g)
-    n0 = x + 2.0
-    mean = y / n0 + 0.5
-    alpha = n0 * mean
-    beta = n0 * (1.0 - mean)
-    lo = np.inf
-    hi = -np.inf
-    for start in range(0, len(alpha), 65536):
-        sl = slice(start, start + 65536)
-        lo = min(lo, float(np.min(_quantile_vec(alpha[sl], beta[sl], 0.5 * (1.0 - gamma)))))
-        hi = max(hi, float(np.max(_quantile_vec(alpha[sl], beta[sl], 0.5 * (1.0 + gamma)))))
-    return CredibilityUnion(lo=lo, hi=hi, gamma=gamma)
+    lo, hi = np.inf, -np.inf
+    for x, y in _member_blocks(updated(set_, d), g):
+        n0 = x + 2.0
+        mean = y / n0 + 0.5
+        alpha = n0 * mean
+        beta = n0 * (1.0 - mean)
+        lo = min(lo, _quantile_vec(alpha, beta, 0.5 * (1.0 - gamma)).min(initial=np.inf))
+        hi = max(hi, _quantile_vec(alpha, beta, 0.5 * (1.0 + gamma)).max(initial=-np.inf))
+    return CredibilityUnion(lo=float(lo), hi=float(hi), gamma=gamma)

@@ -21,8 +21,8 @@ operations are pure functions of immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -148,14 +148,41 @@ def _rotation_cs(y_c: float) -> tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
+def _turn(x, y, c: float, s: float):
+    """``(x, y)``, taken from the apex, turned by the angle of cosine ``c`` and
+    sine ``s``; ``-s`` turns it back."""
+    if s == 0.0:
+        return x, y
+    return c * x - s * y, s * x + c * y
+
+
 def rotate_about_apex(point: tuple[float, float], y_c: float) -> tuple[float, float]:
     """Rotate a point about ``(-2, 0)`` so the axis maps onto the ``y_c`` ray."""
     _require_finite("point", eta0=point[0], eta1=point[1])
     if not 0.0 < y_c < 1.0:
         raise InvalidParameterError(f"central mean violates 0 < y_c < 1: got {y_c}")
-    c, s = _rotation_cs(y_c)
-    dx = point[0] + 2.0
-    return (-2.0 + c * dx - s * point[1], s * dx + c * point[1])
+    x, y = _turn(point[0] + 2.0, point[1], *_rotation_cs(y_c))
+    return (-2.0 + x, y)
+
+
+def _frame(spec: ShapeSpec) -> tuple[float, float, float, Callable, Callable]:
+    """The one definition of each family, ``(y_c, r0, r1, lower, upper)``: in
+    the symmetry frame, with ``r = eta0 + 2`` the distance from the apex, the
+    set is the sections from ``lower(r)`` to ``upper(r)`` over ``r`` in
+    ``[r0, r1]``, turned about the apex by ``theta = atan(y_c - 1/2)``.  A boat
+    is its two contours over ``[eta0_lo, eta0_hi]``; a rectangle its ``y_lo``
+    and ``y_hi`` rays ``r (y - 1/2)`` over ``n0 = r`` in ``[n_lo, n_hi]``; a
+    segment the flat rectangle ``n_lo = n_hi = n0``."""
+    if isinstance(spec, BoatshapeSpec):
+        r0, a, b = spec.eta0_lo + 2.0, spec.a, spec.b
+
+        def upper(r):
+            return a * (1.0 - np.exp(-b * (r - r0)))
+
+        return spec.y_c, r0, spec.eta0_hi + 2.0, lambda r: -upper(r), upper
+    lo, hi = spec.y_lo - 0.5, spec.y_hi - 0.5
+    r0, r1 = (spec.n0, spec.n0) if isinstance(spec, LineSegmentSpec) else (spec.n_lo, spec.n_hi)
+    return 0.5, r0, r1, lambda r: r * lo, lambda r: r * hi
 
 
 def boat_contours(spec: BoatshapeSpec, eta0: float) -> tuple[float, float]:
@@ -164,46 +191,28 @@ def boat_contours(spec: BoatshapeSpec, eta0: float) -> tuple[float, float]:
         raise InvalidParameterError(
             f"abscissa {eta0} outside the set range [{spec.eta0_lo}, {spec.eta0_hi}]"
         )
-    upper = spec.a * (1.0 - math.exp(-spec.b * (eta0 - spec.eta0_lo)))
-    return -upper, upper
-
-
-def _strengths(spec: RectangleSpec | LineSegmentSpec) -> tuple[float, float]:
-    """The strength range ``(n_lo, n_hi)``; a segment is the flat rectangle ``(n0, n0)``."""
-    if isinstance(spec, LineSegmentSpec):
-        return spec.n0, spec.n0
-    return spec.n_lo, spec.n_hi
+    _, _, _, lower, upper = _frame(spec)
+    return float(lower(eta0 + 2.0)), float(upper(eta0 + 2.0))
 
 
 def _edges(spec: ShapeSpec) -> tuple[_Edge, _Edge]:
     """The lower and upper edge of an unshifted set, each a map from ``u`` in
     ``[0, 1]`` to ``(eta0, eta1)`` arrays running left to right in the
-    symmetry frame: a boat's two contours rotated about the apex, a
-    rectangle's ``y_lo`` and ``y_hi`` edges over ``n0`` in ``[n_lo, n_hi]``, a
-    segment's two end points (constant in ``u``).
+    symmetry frame: the ends of the sections of :func:`_frame` over
+    ``r = r0 + (r1 - r0) u``, turned onto the set.
 
-    Invariant: every section of the set along ``v = (-sin theta, cos theta)``,
-    with ``theta = atan(y_c - 1/2)`` (``0`` for rectangles and segments), runs
-    from ``lower(u)`` to ``upper(u)``.
+    Invariant: every section of the set along ``v = (-sin theta, cos theta)``
+    runs from ``lower(u)`` to ``upper(u)``.
     """
-    if isinstance(spec, BoatshapeSpec):
-        lo, hi, a, b = spec.eta0_lo, spec.eta0_hi, spec.a, spec.b
-        c, s = _rotation_cs(spec.y_c)
+    y_c, r0, r1, lower, upper = _frame(spec)
+    c, s = _rotation_cs(y_c)
 
-        def contour(u, sign):
-            x = lo + (hi - lo) * u
-            y = sign * a * (1.0 - np.exp(-b * (x - lo)))
-            return -2.0 + c * (x + 2.0) - s * y, s * (x + 2.0) + c * y
+    def edge(bound, u):
+        r = r0 + (r1 - r0) * u
+        x, y = _turn(r, bound(r), c, s)
+        return -2.0 + x, y
 
-        return (lambda u: contour(u, -1.0)), (lambda u: contour(u, 1.0))
-
-    nlo, nhi = _strengths(spec)
-
-    def at_mean(u, yv):
-        n = nlo + (nhi - nlo) * u
-        return n - 2.0, n * (yv - 0.5)
-
-    return (lambda u: at_mean(u, spec.y_lo)), (lambda u: at_mean(u, spec.y_hi))
+    return partial(edge, lower), partial(edge, upper)
 
 
 class _Piece(NamedTuple):
@@ -227,11 +236,15 @@ class _Geometry:
         else:
             self.corner_ts = np.zeros(1)
 
+    def dense_ts(self, count: int) -> np.ndarray:
+        """``count`` evenly spaced boundary parameters, corners added."""
+        return np.unique(np.concatenate([np.arange(count) / count, self.corner_ts]))
+
     @cached_property
     def scan_ts(self) -> np.ndarray:
         """Coarse scan parameters, corners included; built on first use (only
         the numeric shadow of rectangles and segments reads them)."""
-        return np.unique(np.concatenate([np.arange(_SCAN) / _SCAN, self.corner_ts]))
+        return self.dense_ts(_SCAN)
 
     @cached_property
     def scan_xy(self) -> tuple[np.ndarray, np.ndarray]:
@@ -306,39 +319,24 @@ def _scan_xy(set_: EtaSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _contains_mask(set_: EtaSet, eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:
-    """Vectorized membership: pull back the shift (and rotation) and test the
-    defining inequalities with slack ``_MEMBER_TOL``."""
-    x = np.asarray(eta0, dtype=float) - set_.shift[0]
-    y = np.asarray(eta1, dtype=float) - set_.shift[1]
-    spec = set_.spec
-    if isinstance(spec, BoatshapeSpec):
-        if spec.y_c != 0.5:
-            c, s = _rotation_cs(spec.y_c)
-            dx = x + 2.0
-            x = -2.0 + c * dx + s * y
-            y = -s * dx + c * y
-        dx = x - spec.eta0_lo
-        contour = spec.a * (1.0 - np.exp(-spec.b * np.maximum(dx, 0.0)))
-        inside = np.abs(y) <= contour + _MEMBER_TOL
-        return (dx >= -_MEMBER_TOL) & (x <= spec.eta0_hi + _MEMBER_TOL) & inside
-    n0 = x + 2.0
-    ok = n0 > 0.0
-    yv = y / np.where(ok, n0, 1.0) + 0.5
-    n_lo, n_hi = _strengths(spec)
-    return (
-        ok
-        & (n0 >= n_lo - _MEMBER_TOL)
-        & (n0 <= n_hi + _MEMBER_TOL)
-        & (yv >= spec.y_lo - _MEMBER_TOL)
-        & (yv <= spec.y_hi + _MEMBER_TOL)
-    )
+    """Vectorized membership: pull back the shift and the rotation into the
+    frame of :func:`_frame` and test the section, with slack ``_MEMBER_TOL``."""
+    y_c, r0, r1, lower, upper = _frame(set_.spec)
+    c, s = _rotation_cs(y_c)
+    x = np.asarray(eta0, dtype=float) - set_.shift[0] + 2.0
+    r, y = _turn(x, np.asarray(eta1, dtype=float) - set_.shift[1], c, -s)
+    rc = np.clip(r, r0, r1)  # far left of its bow a boat contour overflows
+    near = np.abs(r - rc) <= _MEMBER_TOL
+    return near & (y >= lower(rc) - _MEMBER_TOL) & (y <= upper(rc) + _MEMBER_TOL)
 
 
 def contains(set_: EtaSet, p) -> bool:
     """Whether a point (an ``EtaPoint`` or a 2-sequence) belongs to the set.
 
-    Boundary points count as inside; the defining inequalities carry a
-    1e-9 slack so exact boundary evaluations survive round-off.
+    Boundary points count as inside: in the set's symmetry frame the abscissa
+    range and both section bounds carry a 1e-9 slack in ``eta`` coordinates,
+    so exact boundary evaluations survive round-off.  For a rectangle or
+    segment that is a slack on ``eta1``, not on the prior mean.
     """
     if isinstance(p, EtaPoint):
         e0, e1 = p.eta0, p.eta1
@@ -375,8 +373,7 @@ def validate(set_: EtaSet, samples: int = 10000) -> ValidationReport:
     spacing, which the exact O(1) check behind construction and ``shadow`` refuses.
     Never raises; degenerate or misplaced sets come back as reports.
     """
-    geom = _geometry(set_.spec)
-    ts = np.unique(np.concatenate([np.arange(samples) / samples, geom.corner_ts]))
+    ts = _geometry(set_.spec).dense_ts(samples)
     x, y = _boundary_xy(set_, ts)
     margins = np.minimum(x + 2.0, 0.5 * (x + 2.0) - np.abs(y))
     i = int(np.argmin(margins))
@@ -412,15 +409,13 @@ def segment_set(n0: float, y_lo: float, y_hi: float) -> EtaSet:
     return EtaSet(LineSegmentSpec(n0, y_lo, y_hi))
 
 
-_SPEC_FIELDS: dict[str, tuple[str, ...]] = {
-    "boat": ("eta0_lo", "eta0_hi", "a", "b", "y_c"),
-    "rectangle": ("n_lo", "n_hi", "y_lo", "y_hi"),
-    "segment": ("n0", "y_lo", "y_hi"),
-}
 _SPEC_TYPES: dict[str, type] = {
     "boat": BoatshapeSpec,
     "rectangle": RectangleSpec,
     "segment": LineSegmentSpec,
+}
+_SPEC_FIELDS: dict[str, tuple[str, ...]] = {
+    kind: tuple(f.name for f in fields(cls)) for kind, cls in _SPEC_TYPES.items()
 }
 
 
@@ -428,12 +423,8 @@ def to_record(set_: EtaSet) -> dict[str, float | str]:
     """Flatten a set to a key-value record (kind, numeric fields, shift)."""
     for kind, cls in _SPEC_TYPES.items():
         if isinstance(set_.spec, cls):
-            record: dict[str, float | str] = {"kind": kind}
-            for name in _SPEC_FIELDS[kind]:
-                record[name] = getattr(set_.spec, name)
-            record["shift0"] = set_.shift[0]
-            record["shift1"] = set_.shift[1]
-            return record
+            values = {f.name: getattr(set_.spec, f.name) for f in fields(cls)}
+            return {"kind": kind, **values, "shift0": set_.shift[0], "shift1": set_.shift[1]}
     raise InvalidParameterError(f"unknown shape spec type: {type(set_.spec).__name__}")
 
 
@@ -445,14 +436,19 @@ def from_record(record: dict[str, float | str], check: bool = True) -> EtaSet:
         raise InvalidParameterError(
             f"record kind must be one of {sorted(_SPEC_TYPES)}: got {kind!r}"
         )
-    shift = (float(rec.pop("shift0", 0.0)), float(rec.pop("shift1", 0.0)))
-    fields = _SPEC_FIELDS[kind]
-    missing = [name for name in fields if name not in rec]
+    values = {}
+    for key, value in rec.items():
+        try:
+            values[key] = float(value)
+        except (TypeError, ValueError):
+            raise InvalidParameterError(f"record value {key} = {value!r} is not a number") from None
+    shift = (values.pop("shift0", 0.0), values.pop("shift1", 0.0))
+    names = _SPEC_FIELDS[kind]
+    missing = [name for name in names if name not in values]
     if missing:
         raise InvalidParameterError(f"record for kind={kind} is missing {missing}")
-    unknown = sorted(set(rec) - set(fields))
+    unknown = sorted(set(values) - set(names))
     if unknown:
         raise InvalidParameterError(f"record for kind={kind} has unknown keys {unknown}")
-    spec = _SPEC_TYPES[kind](**{name: float(rec[name]) for name in fields})
-    set_ = EtaSet(spec=spec, shift=shift)
+    set_ = EtaSet(spec=_SPEC_TYPES[kind](**values), shift=shift)
     return _checked(set_) if check else set_

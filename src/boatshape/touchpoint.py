@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericError
 from .params import BinomialData, _require_finite, _two_prod
-from .shapes import BoatshapeSpec, EtaSet, _boundary_xy, _rotation_cs, _scan_xy, _strengths
+from .shapes import BoatshapeSpec, EtaSet, _boundary_xy, _frame, _rotation_cs, _scan_xy
 
 _MAX_ITER = 200
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -324,13 +324,13 @@ def _require_admissible(set_: EtaSet) -> None:
     """Raise :class:`InvalidParameterError` naming the margin unless the set lies strictly
     inside the wedge ``|eta1| < (eta0 + 2)/2``; exact and O(1).  A boat runs the guard of
     :func:`_boat_shadow`.  A rectangle or segment image is a convex polygon and the wedge is
-    convex, so its 4 or 2 corners decide."""
+    convex, so its 4 or 2 corners, the ends of its first and last section, decide."""
     spec, (d0, d1) = set_.spec, set_.shift
     if isinstance(spec, BoatshapeSpec):
         _boat_shadow(spec, d0, d1)
         return
-    ys = (spec.y_lo, spec.y_hi)
-    ratios = [(n * (y - 0.5) + d1) / (n + d0) for n in _strengths(spec) for y in ys]
+    _, r0, r1, lower, upper = _frame(spec)
+    ratios = [(bound(r) + d1) / (r + d0) for r in (r0, r1) for bound in (lower, upper)]
     _require_inside(0.5 - max(map(abs, ratios)))
 
 
@@ -340,9 +340,9 @@ def _numeric_shadow(set_: EtaSet) -> ShadowResult:
     r_lo, p_lo = _boundary_extremum(set_, -1.0)
     spec = set_.spec
     d0, d1 = set_.shift
-    n_lo, n_hi = _strengths(spec)
+    _, r0, r1, _, _ = _frame(spec)
     up = low = False  # a flat set (a segment) has no abscissa extent: nothing sticks
-    if n_hi > n_lo:
+    if r1 > r0:
         # Along the edge of prior mean y the posterior mean falls toward the
         # stern iff s > n y.  A bound is stuck iff its terminal corner (bow for
         # the upper, stern for the lower, swapped for d1 < 0) strictly wins;

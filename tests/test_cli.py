@@ -337,6 +337,17 @@ class TestConfigAndOutput:
         assert code == 2
         assert "key = value" in err
 
+    @pytest.mark.parametrize("key", ["a", "shift0"])
+    def test_non_numeric_config_value_exits_2(self, key, tmp_path, capsys):
+        record = {"kind": "boat", "eta0_lo": 1, "eta0_hi": 6, "a": 1.5, "b": 0.9, "y_c": 0.5}
+        cfg = tmp_path / "shape.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**record, key: "x"}.items()))
+        argv = ["bounds", "--shape-config", str(cfg), "--n", "4", "--s", "2"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{key} = 'x' is not a number" in err
+
     def test_out_file(self, tmp_path, capsys):
         out_path = tmp_path / "table.csv"
         code, stdout, _ = run(
@@ -376,6 +387,14 @@ class TestConfigAndOutput:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("command", [["bounds", "--s", "5"], ["sweep", "--s-step", "5"]])
+    def test_grid_above_limit_exits_2(self, command, capsys):
+        argv = [*command, *LONG_BOAT_FLAGS, "--n", "10", "--verify", "--grid", "100000"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "resolution must be an integer in [2, 10000]" in err
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -1,7 +1,9 @@
 """Brute-force grid envelopes: agreement, convergence, and determinism."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from boatshape import (
@@ -17,6 +19,7 @@ from boatshape import (
     rectangle_set,
     segment_set,
     shadow,
+    updated,
 )
 
 LONG_BOAT = dict(eta0_lo=-1.0, eta0_hi=20.0, a=1.0, b=0.4)
@@ -92,6 +95,28 @@ class TestGridDelta:
 def test_non_finite_grid_rejected(field, bad):
     with pytest.raises(InvalidParameterError, match=f"finite {field}: got"):
         GridSpec(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [2.5, 100.0, 10_001, 100_000])
+def test_non_integer_or_huge_grid_rejected(bad):
+    with pytest.raises(InvalidParameterError, match=r"must be an integer in \[2, 10000\]: got"):
+        GridSpec(resolution=bad)
+
+
+@pytest.mark.parametrize("good", [2, 10_000, np.int64(50), np.int32(50)])
+def test_integer_grid_accepted(good):
+    assert GridSpec(resolution=good).resolution == good
+
+
+def test_memory_flat_in_resolution():
+    post = updated(boat_set(**LONG_BOAT), BinomialData(10.0, 5.0))
+    tracemalloc.start()
+    try:
+        grid_shadow(post, GridSpec(resolution=4000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 class TestGridCredibilityUnion:

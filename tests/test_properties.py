@@ -27,7 +27,7 @@ from boatshape import (
     validate,
 )
 from boatshape.inference import _quantile_vec
-from boatshape.shapes import _boundary_xy
+from boatshape.shapes import _boundary_xy, _contains_mask, _edges
 from conftest import admissible_half_width
 
 #: Grid oracle resolution, and how far its inner approximation may fall short
@@ -133,6 +133,22 @@ def test_phase_coherent_with_agreement_window(prior, d):
     happy = th.happy_lo < d.s < th.happy_hi
     assert (learning_phase(prior.spec, d) is LearningPhase.HAPPY_BOTH) == happy
     assert (shadow(updated(prior, d)).phase is LearningPhase.HAPPY_BOTH) == happy
+
+
+@settings(max_examples=60)
+@given(any_set(), data())
+def test_edges_bound_membership(prior, d):
+    # every edge point is a member, and 1e-6 beyond it along the section
+    # direction v = (-sin theta, cos theta) is not
+    post = updated(prior, d)
+    theta = math.atan(getattr(prior.spec, "y_c", 0.5) - 0.5)
+    vx, vy = -math.sin(theta), math.cos(theta)
+    u = np.linspace(0.0, 1.0, 65)
+    for edge, outward in zip(_edges(post.spec), (-1e-6, 1e-6)):
+        x, y = edge(u)
+        x, y = x + post.shift[0], y + post.shift[1]
+        assert _contains_mask(post, x, y).all()
+        assert not _contains_mask(post, x + outward * vx, y + outward * vy).any()
 
 
 @settings(max_examples=60)

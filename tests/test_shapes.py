@@ -136,6 +136,13 @@ class TestMembership:
                 nx, ny = -nx, -ny
             assert not contains(s, (p.eta0 + 1e-6 * nx, p.eta1 + 1e-6 * ny))
 
+    def test_rectangle_slack_is_in_eta1(self):
+        # 1e-8 above the upper ray at n0 = 20: beyond the 1e-9 slack in eta1,
+        # though within 1e-9 of the prior mean
+        s = rectangle_set(10.0, 30.0, 0.3, 0.7)
+        assert contains(s, (18.0, 20.0 * 0.2))
+        assert not contains(s, (18.0, 20.0 * 0.2 + 1e-8))
+
     def test_updated_membership_equivalence(self):
         s = boat_set(**SMALL_BOAT)
         d = BinomialData(4.0, 3.0)
@@ -325,6 +332,12 @@ class TestRecords:
             from_record({"kind": "segment", "n0": 2.0})
         with pytest.raises(InvalidParameterError):
             from_record({"kind": "segment", "n0": 2.0, "y_lo": 0.4, "y_hi": 0.6, "zz": 1.0})
+
+    @pytest.mark.parametrize("key", ["a", "shift0"])
+    def test_non_numeric_value_names_the_key(self, key):
+        record = {**to_record(boat_set(**SMALL_BOAT)), key: "abc"}
+        with pytest.raises(InvalidParameterError, match=f"{key} = 'abc' is not a number"):
+            from_record(record)
 
     def test_spec_field_invariants_named_in_errors(self):
         with pytest.raises(InvalidParameterError, match="a > 0"):
