@@ -26,9 +26,13 @@ APEX = (-2.0, 0.0)
 
 
 def _require_finite(what: str, **fields: float) -> None:
-    """Reject NaN and infinite fields, naming the first one that fails."""
+    """Reject non-numeric, NaN and infinite fields, naming the first one that fails."""
     for name, value in fields.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            raise InvalidParameterError(f"{what} violates real {name}: got {value!r}") from None
+        if not finite:
             raise InvalidParameterError(f"{what} violates finite {name}: got {value}")
 
 

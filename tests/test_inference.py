@@ -35,6 +35,23 @@ from conftest import canonical_route_bounds, random_boat_spec
 BETA_3_5_LOG_PDF_AT_03 = 0.8193149657507218
 
 
+@pytest.fixture
+def cdf_rounds(monkeypatch):
+    """The argument tuples of every ``_betainc`` call made in the test; a
+    quantile solve makes one per round, for all its running lanes at once."""
+    import boatshape.inference as inference
+
+    calls = []
+    betainc = inference._betainc
+
+    def counted(*args):
+        calls.append(args)
+        return betainc(*args)
+
+    monkeypatch.setattr(inference, "_betainc", counted)
+    return calls
+
+
 class TestLogPdf:
     def test_uniform_is_flat(self):
         for p in (0.1, 0.5, 0.9):
@@ -123,6 +140,42 @@ class TestQuantile:
     def test_level_domain(self):
         with pytest.raises(InvalidParameterError):
             beta_quantile(BetaShape(2.0, 2.0), 0.0)
+
+    #: Upper quantiles within 1e-13 of 1, most of them so close that they round to 1.
+    NEAR_ONE = [(0.954, 0.0456), (10002.37, 0.1131), (3.0, 0.02), (1e8, 0.02), (50.0, 0.0456)]
+
+    @pytest.mark.parametrize("a,b", NEAR_ONE)
+    @pytest.mark.parametrize("q", [0.9, 0.95, 0.999])
+    def test_quantile_near_one_is_correctly_rounded(self, a, b, q, cdf_rounds):
+        # Solved for 1 - x on the small tail, the quantile is scipy's (which a
+        # 60-digit bisection confirms for these), capped at the float below 1,
+        # in at most 3 rounds: x itself is too coarse near 1 to solve for.
+        ref = min(float(scipy_betaincinv(a, b, q)), np.nextafter(1.0, 0.0))
+        assert beta_quantile(BetaShape(a, b), q) == ref
+        assert len(cdf_rounds) <= 3
+
+    @pytest.mark.parametrize("a,b", NEAR_ONE)
+    @pytest.mark.parametrize("q", [0.9, 0.95, 0.999])
+    def test_small_tail_keeps_relative_precision(self, a, b, q, cdf_rounds):
+        # the mirrored lower quantiles, down to 1e-159
+        ref = float(scipy_betaincinv(b, a, 1.0 - q))
+        assert beta_quantile(BetaShape(b, a), 1.0 - q) == pytest.approx(ref, rel=1e-10)
+        assert len(cdf_rounds) <= 3
+
+    def test_warm_start_matches_cold(self):
+        import boatshape.inference as inference
+
+        rng = np.random.default_rng(7)
+        a = np.exp(rng.uniform(-3.0, 12.0, 400))
+        b = np.exp(rng.uniform(-3.0, 12.0, 400))
+        q = rng.uniform(0.01, 0.99, 400)
+        cold = inference._quantile_vec(a, b, q)
+        # starts off by a relative 1e-6, as a neighbouring solution would be
+        warm = inference._quantile_vec(a, b, q, cold * (1.0 + 1e-6 * rng.standard_normal(400)))
+        # both stopped within the 1e-12 residual (or where the float grid is too
+        # coarse for it) of the same root
+        slack = 2e-12 / np.exp([beta_log_pdf(BetaShape(*s), x) for s, x in zip(zip(a, b), cold)])
+        assert np.all(np.abs(warm - cold) <= np.maximum(slack, 2.0 * np.spacing(cold)))
 
 
 #: Large and lopsided shapes: both routes of the incomplete beta function
@@ -402,6 +455,30 @@ class TestCredibilityUnion:
         flat = credibility_union(rectangle_set(3.0, 3.0, 0.3, 0.7), d, 0.9)
         assert (flat.lo, flat.hi) == (seg.lo, seg.hi)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "set_,limit",
+        [
+            (boat_set(-1.0, 20.0, 1.0, 0.4), 5),  # configs/boat_long.cfg
+            (boat_set(-1.0, 20.0, 1.0, 0.4, 0.75), 5),  # configs/boat_skewed.cfg
+            (rectangle_set(1.0, 22.0, 0.316408696364, 0.683591303636), 5),
+            (segment_set(1.0, 0.316408696364, 0.683591303636), 3),
+        ],
+        ids=["axis_boat", "rotated_boat", "rectangle", "segment"],
+    )
+    def test_union_cdf_rounds(self, set_, limit, cdf_rounds):
+        # a scan that only locates (1 round) and two warm-started refinement
+        # passes (2 rounds each); a segment is one cold solve
+        credibility_union(set_, BinomialData(10.0, 5.0), 0.5)
+        assert len(cdf_rounds) <= limit
+
+    @pytest.mark.parametrize("n", [0.0, 1e4])
+    def test_union_near_one_takes_few_rounds(self, n, cdf_rounds):
+        # configs/boat_skewed_rect.cfg: upper ends within 1e-16 of 1 cost no
+        # more rounds than the 5 of a typical union
+        rect = rectangle_set(1.0, 22.0, 0.563494439628, 0.954449549965)
+        credibility_union(rect, BinomialData(n, n), 0.9)
+        assert len(cdf_rounds) <= 5
 
     def test_union_builds_no_geometry(self):
         fresh = [  # used nowhere else, so a geometry would be built anew

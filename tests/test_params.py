@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from boatshape import (
+    BetaShape,
     BinomialData,
+    BoatshapeSpec,
     CanonicalParams,
     EtaPoint,
+    GridSpec,
     InvalidParameterError,
     canonical_to_eta,
     eta_to_canonical,
@@ -104,6 +107,19 @@ class TestDomain:
     def test_non_finite_eta(self, field, bad):
         with pytest.raises(InvalidParameterError, match=f"finite {field}: got"):
             EtaPoint(**{"eta0": 0.0, "eta1": 0.0, field: bad})
+
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda: BinomialData("4", 2), "n"),
+            (lambda: GridSpec(resolution="100"), "resolution"),
+            (lambda: BoatshapeSpec("1", 6, 1.5, 0.9), "eta0_lo"),
+            (lambda: BetaShape("1", 2), "alpha"),
+        ],
+    )
+    def test_non_numeric_names_the_field(self, build, field):
+        with pytest.raises(InvalidParameterError, match=f"real {field}: got '"):
+            build()
 
 
 class TestRays:
