@@ -33,8 +33,9 @@ from .params import (
     eta_to_canonical,
     update_eta,
 )
-from .shapes import _SPEC_FIELDS, BoatshapeSpec, EtaSet, from_record, updated, validate
-from .touchpoint import _require_admissible, agreement_thresholds, shadow, terminal_slopes
+from .shapes import (_SPEC_FIELDS, BoatshapeSpec, EtaSet, _require_admissible, from_record,
+                     updated, validate)
+from .touchpoint import agreement_thresholds, shadow, terminal_slopes
 
 #: Every inline shape flag, each once, in the order of ``_SPEC_FIELDS``.
 _SHAPE_NAMES = tuple(dict.fromkeys(name for names in _SPEC_FIELDS.values() for name in names))
@@ -187,8 +188,6 @@ def _cmd_credibility(args) -> Iterator[_Table]:
 def _cmd_thresholds(args) -> Iterator[_Table]:
     _require(args, "n")
     set_ = _load_set(args)
-    if not isinstance(set_.spec, BoatshapeSpec):
-        raise InvalidParameterError("thresholds are defined for boat shapes only")
     th = agreement_thresholds(set_.spec, args.n)
     upper_slope, lower_slope = terminal_slopes(set_.spec, args.n)
     yield [{**vars(th), "upper_slope": upper_slope, "lower_slope": lower_slope}]

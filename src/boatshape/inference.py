@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericError
 from .params import BinomialData, CanonicalParams, _require_finite, _two_prod
-from .shapes import EtaSet, RectangleSpec, _edges, updated
-from .touchpoint import _require_admissible, shadow
+from .shapes import EtaSet, RectangleSpec, _edges, _require_admissible, updated
+from .touchpoint import shadow
 
 _CF_MAX_ITER = 300
 _CF_EPS = 1e-15
@@ -181,12 +181,15 @@ def _mean_offset(a, b, x):
     return p, b / ab, (x - p) - (((a - prod) - err) - p * ab_err) / ab
 
 
-def _log_front_centered(a, b, p, q, d):
+def _log_front_centered(a, b, p, q, d, x=None):
     """``ln[x^a (1-x)^b / B(a, b)]`` at ``x = a/(a+b) + d``, for large shapes.
 
     Stirling turns the normalizer at the mean into
     ``ln sqrt(ab / (2 pi (a+b)))`` plus small corrections, and the linear
     parts of ``a ln(x/p) + b ln((1-x)/q)`` cancel exactly about the mean.
+    Below half the mean, ``d/p`` rounds next to -1 and its ``log1p`` loses
+    the digits of ``x``: given ``x``, ``ln(x/p)`` is then taken from ``x``
+    itself, and likewise ``ln((1-x)/q)`` where ``1 - x < q/2`` (and exact).
     """
     ab = a + b
     at_mean = (
@@ -195,9 +198,12 @@ def _log_front_centered(a, b, p, q, d):
     )
     # x = p + d and 1 - x = q - d are >= 0, so both arguments are >= -1 but
     # for rounding, which the clamp removes
-    return (
-        at_mean + a * _log1pmx(np.maximum(d / p, -1.0)) + b * _log1pmx(np.maximum(-d / q, -1.0))
-    )
+    u, v = d / p, -d / q
+    lo, hi = _log1pmx(np.maximum(u, -1.0)), _log1pmx(np.maximum(v, -1.0))
+    if x is not None:
+        lo = np.where(u < -0.5, np.log(x / p) - u, lo)
+        hi = np.where(v < -0.5, np.log((1.0 - x) / q) - v, hi)
+    return at_mean + a * lo + b * hi
 
 
 def _log_front(a, b, x):
@@ -205,8 +211,8 @@ def _log_front(a, b, x):
     big = np.minimum(a, b) >= _STIRLING_MIN
     out = np.empty_like(x)
     if big.any():
-        ab, bb = a[big], b[big]
-        out[big] = _log_front_centered(ab, bb, *_mean_offset(ab, bb, x[big]))
+        ab, bb, xb = a[big], b[big], x[big]
+        out[big] = _log_front_centered(ab, bb, *_mean_offset(ab, bb, xb), xb)
     small = ~big
     if small.any():
         xs = x[small]

@@ -118,8 +118,9 @@ class EtaSet:
     """An immutable prior set plus the translation accumulated from updates.
 
     Direct construction performs only cheap field checks; :func:`boat_set` and
-    :func:`from_record` also check exactly, in O(1), that the set lies strictly
-    inside the admissible wedge (unshifted rectangles and segments always do).
+    :func:`from_record` also check exactly, in O(1) and without solving any
+    tangency, that the set lies strictly inside the admissible wedge (unshifted
+    rectangles and segments always do), by :func:`_require_admissible`.
     """
 
     spec: ShapeSpec
@@ -185,8 +186,43 @@ def _frame(spec: ShapeSpec) -> tuple[float, float, float, Callable, Callable]:
     return 0.5, r0, r1, lambda r: r * lo, lambda r: r * hi
 
 
+def _require_admissible(set_: EtaSet) -> tuple[float, tuple[float, float]]:
+    """The set's exact wedge margin, the least ``(eta0 + 2)/2 - |eta1|`` over
+    it (eta units, as in :func:`validate`), and the point where it is reached;
+    :class:`InvalidParameterError` naming both unless the margin is positive.
+
+    Each side ``(eta0 + 2)/2 - sigma eta1`` is affine, so on the convex set it
+    is least at the end of a section of :func:`_frame`: at a polygon corner, or
+    on a boat where the contour ``y = sigma upper(r)`` runs parallel to it.  In
+    the symmetry frame the side is ``A r - B y`` with ``A > 0``, so that is at
+    ``r0 + ln(|B| a b / A) / b``, clamped to ``[r0, r1]``."""
+    spec, (d0, d1) = set_.spec, set_.shift
+    y_c, r0, r1, lower, upper = _frame(spec)
+    if isinstance(spec, BoatshapeSpec):  # upper(r) by math: numpy's scalar exp costs more
+        c, s = _rotation_cs(y_c)
+        ends = []
+        for sigma in (1.0, -1.0):
+            ratio = (c + 0.5 * sigma * s) * spec.a / (0.5 * c - sigma * s)  # |B| a / A
+            r = min(max(r0 + (math.log(ratio) + math.log(spec.b)) / spec.b, r0), r1)
+            u, v = _turn(r, -sigma * spec.a * math.expm1(-spec.b * (r - r0)), c, s)
+            ends.append((u - 2.0 + d0, v + d1))
+    else:
+        ends = [(r - 2.0 + d0, bound(r) + d1) for r in (r0, r1) for bound in (lower, upper)]
+    margin, x, y = min([(0.5 * (x + 2.0) - abs(y), x, y) for x, y in ends])
+    if not margin > 0.0:
+        raise InvalidParameterError("set is not strictly inside the admissible wedge "
+                                    f"(margin {margin:.3e} at eta = ({float(x)!r}, {float(y)!r}))")
+    return margin, (x, y)
+
+
+def _require_boat(spec: ShapeSpec) -> None:
+    if not isinstance(spec, BoatshapeSpec):
+        raise InvalidParameterError(f"a boat shape is needed: got {type(spec).__name__}")
+
+
 def boat_contours(spec: BoatshapeSpec, eta0: float) -> tuple[float, float]:
     """Lower and upper contour ordinates at ``eta0``, in the unrotated frame."""
+    _require_boat(spec)
     if not spec.eta0_lo <= eta0 <= spec.eta0_hi:
         raise InvalidParameterError(
             f"abscissa {eta0} outside the set range [{spec.eta0_lo}, {spec.eta0_hi}]"
@@ -370,8 +406,11 @@ def validate(set_: EtaSet, samples: int = 10000) -> ValidationReport:
 
     The margin of a point is ``min(eta0 + 2, (eta0 + 2)/2 - |eta1|)``.  This is a
     report, not the decision: ``ok`` can miss a violation thinner than the sample
-    spacing, which the exact O(1) check behind construction and ``shadow`` refuses.
-    Never raises; degenerate or misplaced sets come back as reports.
+    spacing, which the exact O(1) check behind every decision,
+    :func:`_require_admissible`, refuses.  Wherever ``eta0 > -2`` that check's
+    margin is in the same unit, and the sampled one exceeds it by at most
+    ``0.56`` of the sample spacing.  Never raises; degenerate or misplaced sets
+    come back as reports.
     """
     ts = _geometry(set_.spec).dense_ts(samples)
     x, y = _boundary_xy(set_, ts)
@@ -385,18 +424,13 @@ def validate(set_: EtaSet, samples: int = 10000) -> ValidationReport:
     )
 
 
-def _checked(set_: EtaSet) -> EtaSet:
-    from .touchpoint import _require_admissible  # touchpoint imports this module
-
-    _require_admissible(set_)
-    return set_
-
-
 def boat_set(
     eta0_lo: float, eta0_hi: float, a: float, b: float, y_c: float = 0.5
 ) -> EtaSet:
     """Build a boat-shaped prior set, refused unless strictly inside the wedge."""
-    return _checked(EtaSet(BoatshapeSpec(eta0_lo, eta0_hi, a, b, y_c)))
+    set_ = EtaSet(BoatshapeSpec(eta0_lo, eta0_hi, a, b, y_c))
+    _require_admissible(set_)
+    return set_
 
 
 def rectangle_set(n_lo: float, n_hi: float, y_lo: float, y_hi: float) -> EtaSet:
@@ -451,4 +485,6 @@ def from_record(record: dict[str, float | str], check: bool = True) -> EtaSet:
     if unknown:
         raise InvalidParameterError(f"record for kind={kind} has unknown keys {unknown}")
     set_ = EtaSet(spec=_SPEC_TYPES[kind](**values), shift=shift)
-    return _checked(set_) if check else set_
+    if check:
+        _require_admissible(set_)
+    return set_

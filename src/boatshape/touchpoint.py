@@ -23,7 +23,10 @@ each axis-frame bound's angle is turned by ``atan(y_c - 1/2)``.  The sticking
 conditions are affine in ``s`` there, so every boat's thresholds are closed forms.
 
 Only rectangles and segments take a numeric route: a dense boundary scan (the
-objective is constant on apex rays) refined by golden-section search.
+objective is constant on apex rays) refined by golden-section search.  Whether
+a set is admissible is decided once, before any route, by the exact wedge
+check of :mod:`boatshape.shapes`; the functions that only a boat has refuse
+other families.
 """
 
 from __future__ import annotations
@@ -36,12 +39,11 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericError
 from .params import BinomialData, _require_finite, _two_prod
-from .shapes import BoatshapeSpec, EtaSet, _boundary_xy, _frame, _rotation_cs, _scan_xy
+from .shapes import (BoatshapeSpec, EtaSet, _boundary_xy, _frame, _require_admissible,
+                     _require_boat, _rotation_cs, _scan_xy)
 
 _MAX_ITER = 200
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: Half-angle of the admissible wedge ``|eta1| < (eta0 + 2) / 2`` at the apex.
-_HALF_ANGLE = math.atan(0.5)
 
 
 class LearningPhase(Enum):
@@ -176,6 +178,7 @@ def solve_prior_upper_touchpoint(spec: BoatshapeSpec) -> float:
     Unique beyond the bow; returns the stern abscissa when the tangency falls
     beyond it.
     """
+    _require_boat(spec)
     return _axis_frame(spec, 0.0, 0.0, 0)[3]
 
 
@@ -198,12 +201,14 @@ def solve_posterior_touchpoints(
     Both equal each other for balanced data ``s = n * y_c``; data below it
     are handled by the mirror symmetry of the contours.
     """
+    _require_boat(spec)
     out = _axis_frame(spec, *_pullback(spec, d.n, d.s - 0.5 * d.n))
     return out[2], out[3]
 
 
 def learning_phase(spec: BoatshapeSpec, d: BinomialData) -> LearningPhase:
     """Classify an update of the boat by its touchpoint sticking."""
+    _require_boat(spec)
     _, _, _, _, up, low = _axis_frame(spec, *_pullback(spec, d.n, d.s - 0.5 * d.n))
     return _phase(up, low)
 
@@ -244,6 +249,7 @@ def agreement_thresholds(spec: BoatshapeSpec, n: float) -> AgreementThresholds:
     ``eta1 -> -eta1`` maps the boat onto the ``1 - y_c`` ray and ``s`` onto
     ``n - s``, so ``happy_lo`` is ``n`` minus that boat's first sticking point.
     """
+    _require_boat(spec)
     _require_finite("trial count", n=n)
     if not n >= 0.0:
         raise InvalidParameterError(f"trial count violates n >= 0: got {n}")
@@ -261,6 +267,7 @@ def terminal_slopes(spec: BoatshapeSpec, n: float) -> tuple[float, float]:
     sine of ``atan(y_c - 1/2)``, ``1/(c (eta0_lo + 2) + n)`` and
     ``1/(c (eta0_hi + 2) + sn a (1 - exp(-b (eta0_hi - eta0_lo))) + n)``.
     """
+    _require_boat(spec)
     _require_finite("trial count", n=n)
     if not n >= 0.0:
         raise InvalidParameterError(f"trial count violates n >= 0: got {n}")
@@ -313,29 +320,7 @@ def _boundary_extremum(set_: EtaSet, sign: float) -> tuple[float, tuple[float, f
     return sign * f_best, (float(xx[0]), float(yy[0]))
 
 
-def _require_inside(margin: float) -> None:
-    if not margin > 0.0:
-        raise InvalidParameterError(
-            f"set is not strictly inside the admissible wedge (margin {margin:.3e})"
-        )
-
-
-def _require_admissible(set_: EtaSet) -> None:
-    """Raise :class:`InvalidParameterError` naming the margin unless the set lies strictly
-    inside the wedge ``|eta1| < (eta0 + 2)/2``; exact and O(1).  A boat runs the guard of
-    :func:`_boat_shadow`.  A rectangle or segment image is a convex polygon and the wedge is
-    convex, so its 4 or 2 corners, the ends of its first and last section, decide."""
-    spec, (d0, d1) = set_.spec, set_.shift
-    if isinstance(spec, BoatshapeSpec):
-        _boat_shadow(spec, d0, d1)
-        return
-    _, r0, r1, lower, upper = _frame(spec)
-    ratios = [(bound(r) + d1) / (r + d0) for r in (r0, r1) for bound in (lower, upper)]
-    _require_inside(0.5 - max(map(abs, ratios)))
-
-
 def _numeric_shadow(set_: EtaSet) -> ShadowResult:
-    _require_admissible(set_)
     r_hi, p_hi = _boundary_extremum(set_, 1.0)
     r_lo, p_lo = _boundary_extremum(set_, -1.0)
     spec = set_.spec
@@ -356,19 +341,14 @@ def _numeric_shadow(set_: EtaSet) -> ShadowResult:
 def _boat_shadow(spec: BoatshapeSpec, d0: float, d1: float) -> ShadowResult:
     """Shadow of a boat translated by ``(d0, d1)``: solved in its symmetry
     frame, each bound's angle then turned by ``theta = atan(y_c - 1/2)``."""
-    p0, p1, side = _pullback(spec, d0, d1)
-    _require_inside(spec.eta0_lo + p0 + 2.0)
-    y_lo, y_hi, tp_lo, tp_hi, up, low = _axis_frame(spec, p0, p1, side)
-    # the set lies inside the wedge iff both bound angles do
+    y_lo, y_hi, tp_lo, tp_hi, up, low = _axis_frame(spec, *_pullback(spec, d0, d1))
     theta = math.atan(spec.y_c - 0.5)
-    ang_lo, ang_hi = math.atan(y_lo - 0.5) + theta, math.atan(y_hi - 0.5) + theta
-    _require_inside(_HALF_ANGLE - max(ang_hi, -ang_lo))
     if theta != 0.0:
         # each touchpoint (x, (y - 1/2)(x + 2)) rotated about the apex
         c, sn = _rotation_cs(spec.y_c)
         tp_lo = -2.0 + (tp_lo + 2.0) * (c - sn * (y_lo - 0.5))
         tp_hi = -2.0 + (tp_hi + 2.0) * (c - sn * (y_hi - 0.5))
-        y_lo, y_hi = 0.5 + math.tan(ang_lo), 0.5 + math.tan(ang_hi)
+        y_lo, y_hi = (0.5 + math.tan(math.atan(y - 0.5) + theta) for y in (y_lo, y_hi))
     return ShadowResult(y_lo, y_hi, tp_lo, tp_hi, _phase(up, low))
 
 
@@ -380,8 +360,10 @@ def shadow(set_: EtaSet) -> ShadowResult:
     boundary optimizer (the objective is a ratio of affine functions, so its
     extrema over a compact set lie on the boundary).  A set that is not
     strictly inside the admissible wedge raises :class:`InvalidParameterError`
-    (see :func:`_require_admissible`).
+    from the one exact check, ``shapes._require_admissible``, made first for
+    every family.
     """
+    _require_admissible(set_)
     if isinstance(set_.spec, BoatshapeSpec):
         return _boat_shadow(set_.spec, *set_.shift)
     return _numeric_shadow(set_)

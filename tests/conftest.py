@@ -1,12 +1,13 @@
 """Shared helpers for the test suite."""
 
 import math
+import re
 
 import numpy as np
 from hypothesis import settings
 
-from boatshape import BinomialData, BoatshapeSpec, EtaSet
-from boatshape.shapes import _boundary_xy
+from boatshape import BinomialData, BoatshapeSpec, EtaSet, InvalidParameterError
+from boatshape.shapes import _boundary_xy, _require_admissible
 
 # Property tests draw the same examples on every run and never time out on a
 # slow machine; no example database is written.
@@ -50,6 +51,17 @@ def random_rotated_boat_spec(rng: np.random.Generator) -> BoatshapeSpec:
         b=rng.uniform(0.05, 2.5),
         y_c=y_c,
     )
+
+
+def exact_margin(set_: EtaSet) -> tuple[float, tuple[float, float]]:
+    """The exact wedge margin of a set and the point where it is reached:
+    returned by the check for an admissible set, read off the refusal's
+    message (the point, printed in full) for any other."""
+    try:
+        return _require_admissible(set_)
+    except InvalidParameterError as exc:
+        x, y = map(float, re.search(r"at eta = \((.+), (.+)\)\)", str(exc)).groups())
+        return 0.5 * (x + 2.0) - abs(y), (x, y)
 
 
 def canonical_route_bounds(set_: EtaSet, d: BinomialData) -> tuple[float, float]:

@@ -289,9 +289,9 @@ class TestValidateCommand:
         ok, margin, *_, samples = row.split(",")
         assert ok == "false"
         assert 0.0 < float(margin) < 1e-6 and int(samples) >= 10000  # sampled, as before
-        assert "margin -4.000e-09" in err
+        assert "margin -1.473e-08" in err
         code, _, err = run(["bounds", *flags, "--n", "0", "--s", "0"], capsys)
-        assert code == 2 and "margin -4.000e-09" in err
+        assert code == 2 and "margin -1.473e-08" in err
 
     def test_skewed_config_validates(self, capsys):
         code, out, err = run(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import betainc as scipy_betainc
 from scipy.special import betaincinv as scipy_betaincinv
+from scipy.stats import beta as scipy_beta
 
 from boatshape import (
     BetaShape,
@@ -114,6 +115,16 @@ class TestCdf:
             assert beta_cdf(BetaShape(a, b), p) == pytest.approx(
                 float(scipy_betainc(a, b, p)), abs=1e-10
             )
+
+    @pytest.mark.parametrize("x", [1e-3, 1e-5, 1e-8, 1e-12, 1.054e-17])
+    def test_far_tail_keeps_relative_precision(self, x):
+        # far below the mean, x - mean rounds next to -mean and loses x's digits
+        ref = float(scipy_betainc(14.85, 212.08, x))
+        assert beta_cdf(BetaShape(14.85, 212.08), x) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        # and the mirror image, far above the mean
+        if x > 1e-16:
+            log_pdf = beta_log_pdf(BetaShape(212.08, 14.85), 1.0 - x)
+            assert log_pdf == pytest.approx(scipy_beta.logpdf(1.0 - x, 212.08, 14.85), abs=1e-12)
 
 
 class TestQuantile:

@@ -20,12 +20,14 @@ from boatshape import (
     rectangle_set,
     rotate_about_apex,
     segment_set,
+    shadow,
     solve_prior_upper_touchpoint,
     to_record,
     updated,
     validate,
 )
-from boatshape.shapes import _geometry
+from boatshape.shapes import _boundary_xy, _geometry
+from conftest import exact_margin, random_boat_spec, random_rotated_boat_spec
 
 SMALL_BOAT = dict(eta0_lo=1.0, eta0_hi=6.0, a=1.5, b=0.9)
 LONG_BOAT = dict(eta0_lo=-1.0, eta0_hi=20.0, a=1.0, b=0.4)
@@ -288,6 +290,52 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="margin"):
             from_record(to_record(bad))
         boat_set(lo, hi, 0.5 * (1.0 - 1e-8) / r1, b)  # just inside still builds
+
+    def test_sampled_margin_brackets_the_exact_one(self):
+        # Each side (eta0 + 2)/2 -+ eta1 is sqrt(5)/2-Lipschitz in eta, every
+        # sample lies on the boundary, and the nearest sample is within half a
+        # spacing total/samples of the minimizer: the sampled margin can only
+        # overstate the exact one, by at most 0.56 total/samples (plus the
+        # round-off of the points).  It is the least side wherever eta0 > -2.
+        rng = np.random.default_rng(61)
+        checked = refused = 0
+        for k in range(240):
+            shift = (rng.uniform(0.0, 5.0), rng.uniform(-4.0, 4.0))
+            if k % 4 < 2:
+                base = (random_boat_spec if k % 4 else random_rotated_boat_spec)(rng)
+                widen = rng.uniform(0.5, 3.0)
+                spec = BoatshapeSpec(base.eta0_lo, base.eta0_hi, base.a * widen, base.b, base.y_c)
+            else:
+                y_lo = rng.uniform(0.01, 0.98)
+                y_hi = rng.uniform(y_lo, 0.99)
+                n_lo = rng.uniform(0.1, 8.0)
+                n_hi = n_lo + rng.uniform(0.0, 20.0)
+                if k % 4 == 2:
+                    spec = RectangleSpec(n_lo, n_hi, y_lo, y_hi)
+                else:
+                    spec = LineSegmentSpec(n_lo, y_lo, y_hi)
+            set_ = EtaSet(spec, shift=shift)
+            if _boundary_xy(set_, _geometry(spec).dense_ts(10000))[0].min() <= -2.0:
+                continue
+            margin, _ = exact_margin(set_)
+            report = validate(set_)
+            spacing = _geometry(spec).total / 10000
+            assert margin - 1e-12 <= report.worst_margin <= margin + 0.56 * spacing + 1e-12
+            checked += 1
+            refused += margin <= 0.0
+        assert checked >= 200 and 40 <= refused <= checked - 40
+
+    def test_construction_solves_no_tangency(self, monkeypatch):
+        import boatshape.touchpoint as touchpoint
+
+        def refuse(*args):
+            raise AssertionError("a tangency was solved")
+
+        monkeypatch.setattr(touchpoint, "_tangency_root", refuse)
+        with pytest.raises(AssertionError):
+            shadow(boat_set(**LONG_BOAT))  # the patch bites where a tangency is solved
+        boat_set(**LONG_BOAT, y_c=0.75)
+        from_record({"kind": "boat", **SMALL_BOAT, "y_c": 0.35, "shift0": 3.0, "shift1": -1.0})
 
     def test_construction_builds_no_geometry(self):
         spec = dict(eta0_lo=-1.0, eta0_hi=17.0, a=0.7, b=0.45, y_c=0.6)  # used nowhere else

@@ -14,7 +14,9 @@ from boatshape import (
     InvalidParameterError,
     LearningPhase,
     agreement_thresholds,
+    boat_contours,
     boat_set,
+    contains,
     credibility_union,
     from_record,
     grid_shadow,
@@ -30,7 +32,8 @@ from boatshape import (
     validate,
 )
 from boatshape.shapes import _boundary_xy
-from conftest import canonical_route_bounds, random_boat_spec, random_rotated_boat_spec
+from conftest import (canonical_route_bounds, exact_margin, random_boat_spec,
+                      random_rotated_boat_spec)
 
 SMALL_BOAT = BoatshapeSpec(eta0_lo=1.0, eta0_hi=6.0, a=1.5, b=0.9)
 LONG_BOAT = BoatshapeSpec(eta0_lo=-1.0, eta0_hi=20.0, a=1.0, b=0.4)
@@ -404,6 +407,31 @@ class TestShadow:
         with pytest.raises(InvalidParameterError, match="margin"):
             credibility_union(bad, BinomialData(0, 0), 0.9)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            EtaSet(BoatshapeSpec(eta0_lo=-1.9, eta0_hi=5.0, a=10.0, b=0.5), shift=(1.0, 0.5)),
+            EtaSet(BoatshapeSpec(eta0_lo=-1.0, eta0_hi=20.0, a=1.0, b=0.4, y_c=0.9)),
+            EtaSet(rectangle_set(1.0, 4.0, 0.3, 0.7).spec, shift=(0.0, 3.0)),
+            EtaSet(segment_set(2.0, 0.4, 0.6).spec, shift=(1.0, -2.0)),
+        ],
+        ids=["axis_boat", "rotated_boat", "rectangle", "segment"],
+    )
+    def test_one_refusal_names_margin_and_point(self, bad):
+        messages = set()
+        for refuse in (
+            shadow,
+            lambda set_: from_record(to_record(set_)),
+            lambda set_: credibility_union(set_, BinomialData(0, 0), 0.9),
+        ):
+            with pytest.raises(InvalidParameterError) as info:
+                refuse(bad)
+            messages.add(str(info.value))
+        (message,) = messages
+        margin, point = exact_margin(bad)
+        assert f"(margin {margin:.3e} at eta = " in message
+        assert contains(bad, point)
+
     def test_guard_agrees_with_dense_validation(self):
         rng = np.random.default_rng(36)
         rejected = 0
@@ -422,6 +450,29 @@ class TestShadow:
                 with pytest.raises(InvalidParameterError):
                     shadow(set_)
         assert 20 <= rejected <= 180
+
+
+@pytest.mark.parametrize(
+    "spec", [rectangle_set(1.0, 3.0, 0.3, 0.7).spec, segment_set(2.0, 0.4, 0.6).spec],
+    ids=["rectangle", "segment"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: agreement_thresholds(spec, 10.0),
+        lambda spec: terminal_slopes(spec, 10.0),
+        lambda spec: learning_phase(spec, BinomialData(10, 5)),
+        lambda spec: solve_posterior_touchpoints(spec, BinomialData(10, 5)),
+        solve_prior_upper_touchpoint,
+        lambda spec: boat_contours(spec, 2.0),
+    ],
+    ids=["agreement_thresholds", "terminal_slopes", "learning_phase",
+         "solve_posterior_touchpoints", "solve_prior_upper_touchpoint", "boat_contours"],
+)
+def test_boat_only_functions_refuse_other_families(call, spec):
+    name = type(spec).__name__
+    with pytest.raises(InvalidParameterError, match=f"boat shape is needed: got {name}"):
+        call(spec)
 
 
 class TestLearningPhase:
