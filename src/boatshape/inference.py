@@ -14,9 +14,9 @@ affine in eta, and every Beta quantile rises with ``alpha`` and falls with
 of a central interval rise from the lower edge to the upper one.  Credibility
 unions therefore search the lower edge for the lower end and the upper edge
 for the upper end: a scan that only locates each extreme (one Halley step per
-point), then two refinement passes that start warm from the previous level and
-solve to the CDF residual; a segment's edges are single points, so two
-quantiles give its union exactly.
+point), then two refinement passes that start warm from the previous level, of
+which only the last solves to the CDF residual; a segment's edges are single
+points, so two quantiles give its union exactly.
 
 The regularized incomplete beta function ``I_x(a, b)`` takes one of two
 routes, chosen from the input.  Large shapes near the mean integrate the
@@ -28,9 +28,9 @@ which is expanded about the mean with Stirling corrections and
 ``log1p(u) - u`` so that it keeps its digits at large shapes, and which is
 returned with the CDF so that a quantile step reads the density from it.
 Quantiles invert the CDF with bracketed Halley steps from a Cornish-Fisher,
-power-law or warm start, solving for ``1 - x`` above 1/2 (AS 109) so that
-quantiles near 1 keep their digits.  All of these accept arrays and iterate
-only the lanes that have not converged yet.
+power-law, gamma-limit or warm start, solving for ``1 - x`` above 1/2 (AS 109)
+so that quantiles near 1 keep their digits.  All of these accept arrays and
+iterate only the lanes that have not converged yet.
 """
 
 from __future__ import annotations
@@ -76,7 +76,9 @@ _GL_NODES = 32
 #: exp(-_QUAD_LOG_CUT), stretched by _QUAD_STRETCH for the Beta's skew.
 _QUAD_LOG_CUT = 50.0
 _QUAD_STRETCH = 1.5
-_QUAD_BLOCK = 4096
+#: Lanes per block of the quadrature's lanes x nodes temporaries, 32 kB each:
+#: glibc's malloc maps each of 128 kB afresh, a third of a 512-lane call's time.
+_QUAD_BLOCK = 128
 #: Credibility union search: coarse scan size along each edge, then
 #: refinement passes of _REFINE points over the bracket around each extreme.
 _SCAN = 256
@@ -132,7 +134,9 @@ def _lgamma(z):
     by ten unit steps below ``_STIRLING_MIN``."""
     small = z < _STIRLING_MIN
     w = np.where(small, z + 10.0, z)
-    rising = np.add.outer(np.where(small, z, 1.0), np.arange(10.0)).prod(axis=-1)
+    rising = z1 = np.where(small, z, 1.0)
+    for k in range(1, 10):
+        rising = rising * (z1 + k)
     main = (w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi) + _stirling_tail(w)
     return main - np.where(small, np.log(rising), 0.0)
 
@@ -148,11 +152,10 @@ def _log_beta(a, b):
     hi = np.maximum(a, b)
     big = hi >= _STIRLING_MIN
     h = np.where(big, hi, _STIRLING_MIN)
-    ratio = (
-        -(h - 0.5) * np.log1p(lo / h) - lo * np.log(lo + h) + lo
-        + _stirling_tail(h) - _stirling_tail(lo + h)
-    )
-    return _lgamma(lo) + np.where(big, ratio, _lgamma(hi) - _lgamma(lo + hi))
+    tail_h, tail_sum = _stirling_tail(np.stack([h, lo + h]))
+    ratio = -(h - 0.5) * np.log1p(lo / h) - lo * np.log(lo + h) + lo + tail_h - tail_sum
+    g_lo, g_hi, g_sum = _lgamma(np.stack([lo, hi, lo + hi]))
+    return g_lo + np.where(big, ratio, g_hi - g_sum)
 
 
 def _log1pmx(u):
@@ -162,63 +165,66 @@ def _log1pmx(u):
     v2 = v * v
     series = v2 * (1 / 3 + v2 * (1 / 5 + v2 * (1 / 7 + v2 * (1 / 9 + v2 * (1 / 11 + v2 / 13)))))
     near = v * (2.0 * series - u)
+    far = np.abs(u) >= 0.1
+    if not far.any():
+        return near
     with np.errstate(divide="ignore"):
-        return np.where(np.abs(u) < 0.1, near, np.log1p(u) - u)
+        return np.where(far, np.log1p(u) - u, near)
 
 
-def _mean_offset(a, b, x):
-    """Mean ``p = a/(a+b)``, ``q = b/(a+b)`` and ``x`` minus the *exact* mean.
-
-    At large shapes the density is steep enough that the rounding of ``p``
-    alone would move ``I_x`` by up to 1e-10, so the remainder
-    ``a - p (a+b)`` is recovered exactly, ``a + b`` included, and folded
-    into the offset.
-    """
+def _lane_terms(a, b) -> np.ndarray:
+    """The terms of ``I_x(a, b)`` that do not depend on ``x``, stacked: the log
+    normalizer ``-ln B(a, b)`` (at the mean, ``ln[p^a q^b / B(a, b)]``, which
+    Stirling turns into ``ln sqrt(ab / (2 pi (a+b)))`` plus small corrections,
+    where both shapes are >= _STIRLING_MIN), the mean ``p = a/(a+b)``, ``q``,
+    and the remainder ``a/(a+b) - p``: at large shapes the rounding of ``p``
+    alone would move ``I_x`` by up to 1e-10, so there it is recovered exactly,
+    while below _STIRLING_MIN no route reads it and it is left at 0."""
     ab = a + b
-    ab_err = (a - (ab - (ab - a))) + (b - (ab - a))  # a + b = ab + ab_err exactly
     p = a / ab
-    prod, err = _two_prod(p, ab)
-    return p, b / ab, (x - p) - (((a - prod) - err) - p * ab_err) / ab
+    terms = np.stack([np.empty_like(ab), p, b / ab, np.zeros_like(ab)])
+    big = np.minimum(a, b) >= _STIRLING_MIN
+    if big.any():
+        ag, bg, abg, pg = a[big], b[big], ab[big], p[big]
+        ab_err = (ag - (abg - (abg - ag))) + (bg - (abg - ag))  # ag + bg = abg + ab_err exactly
+        prod, err = _two_prod(pg, abg)
+        tail_ab, tail_a, tail_b = _stirling_tail(np.stack([abg, ag, bg]))
+        terms[0, big] = 0.5 * np.log(ag * bg / (2.0 * math.pi * abg)) + tail_ab - tail_a - tail_b
+        terms[3, big] = (((ag - prod) - err) - pg * ab_err) / abg
+    if not big.all():
+        terms[0, ~big] = -_log_beta(a[~big], b[~big])
+    return terms
 
 
-def _log_front_centered(a, b, p, q, d, x=None):
-    """``ln[x^a (1-x)^b / B(a, b)]`` at ``x = a/(a+b) + d``, for large shapes.
-
-    Stirling turns the normalizer at the mean into
-    ``ln sqrt(ab / (2 pi (a+b)))`` plus small corrections, and the linear
-    parts of ``a ln(x/p) + b ln((1-x)/q)`` cancel exactly about the mean.
-    Below half the mean, ``d/p`` rounds next to -1 and its ``log1p`` loses
-    the digits of ``x``: given ``x``, ``ln(x/p)`` is then taken from ``x``
-    itself, and likewise ``ln((1-x)/q)`` where ``1 - x < q/2`` (and exact).
-    """
-    ab = a + b
-    at_mean = (
-        0.5 * np.log(a * b / (2.0 * math.pi * ab))
-        + _stirling_tail(ab) - _stirling_tail(a) - _stirling_tail(b)
-    )
+def _log_front_centered(a, b, norm, p, q, d, x=None):
+    """``ln[x^a (1-x)^b / B(a, b)]`` at ``x = a/(a+b) + d`` for large shapes, from
+    the normalizer and mean of ``_lane_terms``.  The linear parts of ``a ln(x/p)
+    + b ln((1-x)/q)`` cancel exactly about the mean.  Below half the mean,
+    ``d/p`` rounds next to -1 and its ``log1p`` loses the digits of ``x``: given
+    ``x``, ``ln(x/p)`` is then taken from ``x`` itself, and likewise
+    ``ln((1-x)/q)`` where ``1 - x < q/2`` (and exact)."""
     # x = p + d and 1 - x = q - d are >= 0, so both arguments are >= -1 but
     # for rounding, which the clamp removes
-    u, v = d / p, -d / q
-    lo, hi = _log1pmx(np.maximum(u, -1.0)), _log1pmx(np.maximum(v, -1.0))
-    if x is not None:
+    u, v = uv = np.stack([d / p, -d / q])
+    lo, hi = _log1pmx(np.maximum(uv, -1.0))
+    if x is not None and (uv < -0.5).any():
         lo = np.where(u < -0.5, np.log(x / p) - u, lo)
         hi = np.where(v < -0.5, np.log((1.0 - x) / q) - v, hi)
-    return at_mean + a * lo + b * hi
+    return norm + a * lo + b * hi
 
 
-def _log_front(a, b, x):
-    """``ln[x^a (1-x)^b / B(a, b)]`` for ``x`` in the open unit interval."""
+def _log_front(a, b, x, terms) -> np.ndarray:
+    """``ln[x^a (1-x)^b / B(a, b)]`` for ``x`` in the open unit interval, from
+    the ``_lane_terms`` of ``(a, b)``."""
     big = np.minimum(a, b) >= _STIRLING_MIN
     out = np.empty_like(x)
     if big.any():
-        ab, bb, xb = a[big], b[big], x[big]
-        out[big] = _log_front_centered(ab, bb, *_mean_offset(ab, bb, xb), xb)
+        xb, (nb, pb, qb, rb) = x[big], terms[:, big]
+        out[big] = _log_front_centered(a[big], b[big], nb, pb, qb, (xb - pb) - rb, xb)
     small = ~big
     if small.any():
         xs = x[small]
-        out[small] = (
-            a[small] * np.log(xs) + b[small] * np.log1p(-xs) - _log_beta(a[small], b[small])
-        )
+        out[small] = a[small] * np.log(xs) + b[small] * np.log1p(-xs) + terms[0, small]
     return out
 
 
@@ -227,35 +233,32 @@ def _beta_frac(a, b, x, y, lam):
     ``I_x(a, b) B(a, b) / (x^a y^b)``, where ``a, b >= 1``, ``y = 1 - x`` and
     ``lam = a - (a + b) x >= 0`` was formed without cancellation.
 
-    The coefficients of _CF_BLOCK terms are formed at once, as lanes x terms
+    The coefficients of _CF_BLOCK terms are formed at once, as terms x lanes
     arrays, and the recurrence runs through them; after each such block,
     converged lanes are written out and dropped, so later blocks cost only
     what is still running.
     """
     out = np.empty_like(x)
     lane = np.arange(len(x))
-    a, b, x = a[:, None], b[:, None], x[:, None]
-    c = 1.0 + lam[:, None]
+    c = 1.0 + lam
     c0 = b / a
-    yp1 = y[:, None] + 1.0
+    yp1 = y + 1.0
     # convergents A_n / B_n, scaled so that B_n = 1: an, bn hold A_{n-1}, B_{n-1}
-    r = (1.0 + 1.0 / a[:, 0]) / c[:, 0]
+    r = (1.0 + 1.0 / a) / c
     an = np.zeros_like(r)
     bn = r
     for first in range(1, _CF_MAX_ITER + 1, _CF_BLOCK):
-        n = np.arange(first, first + _CF_BLOCK, dtype=float)
+        n = np.arange(first, first + _CF_BLOCK, dtype=float)[:, None]
         s = a + (2.0 * n - 1.0)
         w = (b - n) * (n * x)
         p = 1.0 + (n - 1.0) / a
         e = a / s
         alpha = (p * (p + c0) * e * e) * (w * x)
         beta = n + w / s + (a + n) / (s + 2.0) * (c + n * yp1)
-        for k in range(_CF_BLOCK):
-            al = alpha[:, k]
-            bnp1 = al * bn + beta[:, k]
-            inv = 1.0 / bnp1
+        for al, be in zip(alpha, beta):
+            inv = 1.0 / (al * bn + be)
             r0 = r
-            r, an, bn = (al * an + beta[:, k] * r) * inv, r * inv, inv
+            r, an, bn = (al * an + be * r) * inv, r * inv, inv
         done = np.abs(r - r0) <= _CF_EPS * r
         if done.any():
             out[lane[done]] = r[done]
@@ -272,15 +275,16 @@ def _beta_frac(a, b, x, y, lam):
     raise NumericError("incomplete beta continued fraction did not converge")
 
 
-def _betainc_frac(a, b, x):
+def _betainc_frac(a, b, x, terms):
     """``I_x(a, b)`` and ``ln f`` with ``f = x^a (1-x)^b / B(a, b)``, by the
     continued fraction on the side of the mean where it converges; shapes
     below 1 are first raised by one through
-    ``I_x(a, b) = I_x(a + 1, b) + f/a = I_x(a, b + 1) - f/b``."""
+    ``I_x(a, b) = I_x(a + 1, b) + f/a = I_x(a, b + 1) - f/b``, and the fronts
+    of the raised shapes follow from ``f`` by ``f(a + 1, b) = f x (a+b)/a``
+    and ``f(a, b + 1) = f (1-x) (a+b)/b``."""
     low_a = a < 1.0
     low_b = b < 1.0
-    a1 = np.where(low_a, a + 1.0, a)
-    b1 = np.where(low_b, b + 1.0, b)
+    a1, b1 = a + low_a, b + low_b
     y = 1.0 - x
     # lam = (a+b)(mean - x), from whichever of x and 1 - x is exact
     lam = np.where(a1 > b1, (a1 + b1) * y - b1, a1 - (a1 + b1) * x)
@@ -289,17 +293,12 @@ def _betainc_frac(a, b, x):
         np.where(swap, b1, a1), np.where(swap, a1, b1),
         np.where(swap, y, x), np.where(swap, x, y), np.abs(lam),
     )
-    # the front factor of (a, b) itself is whichever of these has both shapes unraised
-    log_front = _log_front(a1, b1, x)
-    side = np.exp(log_front) * frac
-    out = np.where(swap, 1.0 - side, side)
-    if low_b.any():
-        log_front[low_b] = _log_front(a1[low_b], b[low_b], x[low_b])
-        out[low_b] -= np.exp(log_front[low_b]) / b[low_b]
-    if low_a.any():
-        log_front[low_a] = _log_front(a[low_a], b[low_a], x[low_a])
-        out[low_a] += np.exp(log_front[low_a]) / a[low_a]
-    return np.clip(out, 0.0, 1.0), log_front
+    log_front = _log_front(a, b, x, terms)
+    front = np.exp(log_front)
+    front_a1 = np.where(low_a, front * x * (a + b) / a, front)  # f(a1, b)
+    side = np.where(low_b, front_a1 * y * (a1 + b) / b, front_a1) * frac
+    out = np.where(swap, 1.0 - side, side) - np.where(low_b, front_a1 / b, 0.0)
+    return np.clip(out + np.where(low_a, front / a, 0.0), 0.0, 1.0), log_front
 
 
 @lru_cache(maxsize=1)
@@ -310,10 +309,11 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def _betainc_quad(a, b, p, q, d0, sigma):
+def _betainc_quad(a, b, terms, d0, sigma):
     """``I_x(a, b)`` at ``x = p + d0`` by Gauss-Legendre quadrature of the
     density over the tail beyond ``x``, integrated away from the mean, and the
-    log front factor at ``x``."""
+    log front factor at ``x``, from the ``_lane_terms`` of ``(a, b)``."""
+    norm, p, q, _ = terms
     z = np.abs(d0) / sigma
     width = _QUAD_STRETCH * sigma * (np.sqrt(z * z + 2.0 * _QUAD_LOG_CUT) - z)
     # The window reaches at most 15 sd from the mean; with both shapes >=
@@ -321,24 +321,28 @@ def _betainc_quad(a, b, p, q, d0, sigma):
     step = np.where(d0 <= 0.0, -width, width)
     nodes, weights = _gauss_legendre()
     tail = np.empty_like(d0)
-    # lanes x nodes temporaries, in blocks so a large batch stays small
+    base = norm - np.log(p) - np.log(q)
+    # lanes x nodes temporaries, in blocks of _QUAD_BLOCK lanes
     for i in range(0, len(d0), _QUAD_BLOCK):
         rows = slice(i, i + _QUAD_BLOCK)
         col = (rows, None)
         d = d0[col] + step[col] * nodes
-        # x (1 - x) at the nodes, from the exact mean: 1 - t would round
+        # the front over x (1 - x) = p q (1 + u)(1 + v), from the exact mean
+        u, v = d / p[col], -d / q[col]
         log_density = (
-            _log_front_centered(a[col], b[col], p[col], q[col], d)
-            - np.log(p[col] + d) - np.log(q[col] - d)
+            base[col] + (a[col] - 1.0) * _log1pmx(u) + (b[col] - 1.0) * _log1pmx(v) - (u + v)
         )
         tail[rows] = width[rows] * (np.exp(log_density) @ weights)
-    return np.where(d0 <= 0.0, tail, 1.0 - tail), _log_front_centered(a, b, p, q, d0)
+    return np.where(d0 <= 0.0, tail, 1.0 - tail), _log_front_centered(a, b, norm, p, q, d0)
 
 
-def _betainc(a, b, x) -> tuple[np.ndarray, np.ndarray]:
+def _betainc(a, b, x, terms=None) -> tuple[np.ndarray, np.ndarray]:
     """Regularized incomplete beta ``I_x(a, b)``, vectorized over broadcastable
     arrays, and its log front factor ``ln[x^a (1-x)^b / B(a, b)]`` (``-inf``
-    outside the open unit interval), from which the density follows."""
+    outside the open unit interval), from which the density follows.  ``terms``,
+    the ``_lane_terms`` of the flattened ``(a, b)``, spares a caller that evaluates
+    the same lanes again forming them each time; without it they are formed
+    here, to the same bits."""
     a, b, x = np.broadcast_arrays(
         np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(x, dtype=float)
     )
@@ -349,7 +353,9 @@ def _betainc(a, b, x) -> tuple[np.ndarray, np.ndarray]:
     mid = (x > 0.0) & (x < 1.0)
     if mid.any():
         am, bm, xm = a[mid], b[mid], x[mid]
-        p, q, d0 = _mean_offset(am, bm, xm)
+        terms = _lane_terms(am, bm) if terms is None else terms[:, mid]
+        _, p, q, rem = terms
+        d0 = (xm - p) - rem
         sigma = np.sqrt(p * q / (am + bm + 1.0))
         near = np.abs(d0) <= _NEAR_MEAN_Z * sigma
         quad = near & (np.minimum(am, bm) >= _QUAD_MIN_SHAPE)
@@ -357,11 +363,11 @@ def _betainc(a, b, x) -> tuple[np.ndarray, np.ndarray]:
         front = np.empty_like(xm)
         if quad.any():
             res[quad], front[quad] = _betainc_quad(
-                am[quad], bm[quad], p[quad], q[quad], d0[quad], sigma[quad]
+                am[quad], bm[quad], terms[:, quad], d0[quad], sigma[quad]
             )
         cf = ~quad
         if cf.any():
-            res[cf], front[cf] = _betainc_frac(am[cf], bm[cf], xm[cf])
+            res[cf], front[cf] = _betainc_frac(am[cf], bm[cf], xm[cf], terms[:, cf])
         out[mid] = res
         log_front[mid] = front
     return out.reshape(shape), log_front.reshape(shape)
@@ -371,7 +377,8 @@ def _quantile_start(a, b, q):
     """Starting point for the iteration, as ``x`` and ``1 - x``, each formed
     directly so that the smaller keeps its relative precision: the
     Cornish-Fisher type approximation of Abramowitz & Stegun 26.5.22 for
-    shapes >= 1, the leading power law of the nearer tail otherwise."""
+    shapes >= 1, the leading power law of the nearer tail otherwise, or past
+    the head of one shape below 1 against the other, the gamma limit."""
     tail = np.minimum(q, 1.0 - q)
     t = np.sqrt(-2.0 * np.log(tail))
     y = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
@@ -395,8 +402,17 @@ def _quantile_start(a, b, q):
             near0 = np.exp((np.log(ap * qp) + log_beta) / ap)
             near1 = np.exp((np.log(bp * (1.0 - qp)) + log_beta) / bp)
             head = qp < ta / (ta + tb)
-            x[power] = np.where(head, near0, 1.0 - near1)
-            c[power] = np.where(head, 1.0 - near0, near1)
+            xs, cs = np.where(head, near0, 1.0 - near1), np.where(head, 1.0 - near0, near1)
+            # past the head of a < 1 <= b: as b -> inf, -(b + (a-1)/2) ln(1 - x) tends
+            # to Gamma(a), whose quantile is Wilson & Hilferty's; b < 1 <= a mirrors it
+            a_small, k, rest = ap < bp, np.minimum(ap, bp), np.maximum(ap, bp)
+            z = np.where(a_small, -y[power], y[power]) / (3.0 * np.sqrt(k))
+            e = k * np.maximum(1.0 - 1.0 / (9.0 * k) + z, 0.0) ** 3 / (rest + 0.5 * (k - 1.0))
+            small, big = -np.expm1(-e), np.exp(-e)
+            body = (ap < 1.0) != (bp < 1.0)
+            body &= (small > np.where(a_small, near0, near1)) & (small < 0.5)
+            x[power] = np.where(body, np.where(a_small, small, big), xs)
+            c[power] = np.where(body, np.where(a_small, big, small), cs)
     inside = (x > 0.0) & (c > 0.0)
     return np.where(inside, x, a / (a + b)), np.where(inside, c, b / (a + b))
 
@@ -412,6 +428,8 @@ def _quantile_vec(a, b, q, x0=None, locate=False) -> np.ndarray:
     taken the digits of ``1 - x0``, and ``_quantile_start`` otherwise.  A step
     reads the density from the front factor that ``_betainc`` returns, and
     the log-density slope ``(a-1)/x - (b-1)/(1-x)`` turns Newton into Halley.
+    The ``_lane_terms`` of the lanes are formed once, before the first round,
+    and passed to every ``_betainc`` call, positionally.
 
     A lane stops once its residual is within 1e-12, its step is below the
     float spacing, or its bracket has shrunk to adjacent floats; only running
@@ -426,23 +444,25 @@ def _quantile_vec(a, b, q, x0=None, locate=False) -> np.ndarray:
     a, b, q = a.ravel(), b.ravel(), q.ravel()
     if np.any((q <= 0.0) | (q >= 1.0)):
         raise InvalidParameterError("quantile level must lie strictly inside (0, 1)")
-    x, c = _quantile_start(a, b, q)
-    if x0 is not None:
-        x0 = np.broadcast_to(np.asarray(x0, dtype=float), shape).ravel()
-        # 1 - x0 keeps few digits within _WARM_MIN of 1: start cold there
-        warm = (x0 > 0.0) & (1.0 - x0 >= _WARM_MIN)
-        x, c = np.where(warm, x0, x), np.where(warm, 1.0 - x0, c)
+    warm = np.nan if x0 is None else x0
+    x = np.array(np.broadcast_to(np.asarray(warm, dtype=float), shape).ravel())
+    c = 1.0 - x
+    # cold without a warm start, or within _WARM_MIN of 1, where 1 - x0 keeps few digits
+    cold = ~((x > 0.0) & (c >= _WARM_MIN))
+    if cold.any():
+        x[cold], c[cold] = _quantile_start(a[cold], b[cold], q[cold])
     # solve for t = 1 - x above 1/2, unless the level 1 - q would round to 1
     flip = (x > 0.5) & (1.0 - q < 1.0)
     a, b = np.where(flip, b, a), np.where(flip, a, b)
     q = np.where(flip, 1.0 - q, q)
     t = np.where(flip, c, x)
+    terms = _lane_terms(a, b)
     lane = np.arange(len(q))
     lo = np.zeros_like(q)
     hi = np.ones_like(q)
     for _ in range(_QUANTILE_MAX_ITER):
         tl, al, bl = t[lane], a[lane], b[lane]
-        cdf, log_front = _betainc(al, bl, tl)
+        cdf, log_front = _betainc(al, bl, tl, terms[:, lane])
         resid = cdf - q[lane]
         below = resid < 0.0
         lol = np.where(below, tl, lo[lane])
@@ -484,7 +504,7 @@ def beta_log_pdf(shape: BetaShape, p: float) -> float:
     if not 0.0 < p < 1.0:
         raise InvalidParameterError(f"density argument violates 0 < p < 1: got {p}")
     a, b, x = np.array([shape.alpha]), np.array([shape.beta]), np.array([p])
-    return float(_log_front(a, b, x)[0]) - math.log(p) - math.log1p(-p)
+    return float(_log_front(a, b, x, _lane_terms(a, b))[0]) - math.log(p) - math.log1p(-p)
 
 
 def beta_cdf(shape: BetaShape, p: float) -> float:
@@ -547,44 +567,48 @@ def credibility_union(set_: EtaSet, d: BinomialData, gamma: float) -> Credibilit
     only locates its extreme: one Halley step per point ranks the points without
     solving them.  Two vectorized passes then refine the bracket around it, each
     warm-started from the parabola through the previous level's three quantiles
-    nearest the extreme and solved to the 1e-12 CDF residual; the union's ends
-    are the extremes of these passes.  A segment's edges are single points,
-    which give its union exactly.
+    nearest the extreme.  The first only locates too; the union's ends are the
+    extremes of the last, solved to the 1e-12 CDF residual.  A segment's edges
+    are single points, which give its union exactly.
     """
     if not 0.0 < gamma < 1.0:
         raise InvalidParameterError(f"credibility level violates 0 < gamma < 1: got {gamma}")
     post = updated(set_, d)
     _require_admissible(post)
     lower, upper = _edges(post.spec)
+    shift = np.array(post.shift)[:, None, None]
     levels = np.array([[0.5 * (1.0 - gamma)], [0.5 * (1.0 + gamma)]])
     sign = np.array([[1.0], [-1.0]])  # minimize the lower endpoint, maximize the upper
+    rows = [0, 1]
 
-    def quantiles(us: np.ndarray, *start) -> np.ndarray:
-        """Interval endpoints at edge parameters ``us``, a ``(2, m)`` array whose
+    def shapes(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior shapes at edge parameters ``us``, a ``(2, m)`` array whose
         row 0 runs along the lower edge and row 1 along the upper edge."""
-        x, y = np.stack([lower(us[0]), upper(us[1])], axis=1) + np.array(post.shift)[:, None, None]
+        x, y = np.stack([lower(us[0]), upper(us[1])], axis=1) + shift
         half = 0.5 * (x + 2.0)
-        return _quantile_vec(half + y, half - y, levels, *start)
+        return half + y, half - y
 
+    us = np.linspace(0.0, 1.0, _SCAN) * np.ones((2, 1))
+    a, b = shapes(us)
     # edges that do not move (a segment, a flat rectangle) are one point each: nothing to search
-    ends = np.array([0.0, 1.0])
-    if not np.ptp([*lower(ends), *upper(ends)], axis=1).any():
-        lo, hi = quantiles(np.zeros((2, 1)))[:, 0]
+    if np.array_equal(a[:, 0], a[:, -1]) and np.array_equal(b[:, 0], b[:, -1]):
+        lo, hi = _quantile_vec(a[:, :1], b[:, :1], levels)[:, 0]
         return CredibilityUnion(lo=float(lo), hi=float(hi), gamma=gamma)
-    us = np.tile(np.linspace(0.0, 1.0, _SCAN), (2, 1))
-    found = quantiles(us, None, True)
-    best = np.full(2, np.inf)
-    for _ in range(_PASSES):
+    found = _quantile_vec(a, b, levels, None, True)
+    for last in range(_PASSES - 1, -1, -1):
         k = np.argmin(sign * found, axis=1)
-        centre, step = us[[0, 1], k], us[:, 1] - us[:, 0]
+        centre, step = us[rows, k], us[:, 1] - us[:, 0]
         left, right = np.maximum(centre - step, 0.0), np.minimum(centre + step, 1.0)
-        grid = np.linspace(left, right, _REFINE, axis=1)
+        # np.linspace(left, right, _REFINE, axis=1), without its overhead
+        grid = np.arange(_REFINE) * ((right - left) / (_REFINE - 1))[:, None] + left[:, None]
+        grid[:, -1] = right
         # warm starts on the parabola through the previous level's three quantiles
         # nearest the centre (moved inward at an end of the edge)
-        mid = np.clip(k, 1, us.shape[1] - 2)[:, None]
-        f_lo, f_mid, f_hi = (np.take_along_axis(found, mid + i, axis=1) for i in (-1, 0, 1))
-        z = (grid - np.take_along_axis(us, mid, axis=1)) / step[:, None]
+        mid = np.minimum(np.maximum(k, 1), us.shape[1] - 2)
+        f_lo, f_mid, f_hi = (found[rows, mid + i][:, None] for i in (-1, 0, 1))
+        z = (grid - us[rows, mid][:, None]) / step[:, None]
         warm = f_mid + 0.5 * z * (f_hi - f_lo) + 0.5 * z * z * (f_hi - 2.0 * f_mid + f_lo)
-        us, found = grid, quantiles(grid, warm)
-        best = np.minimum(best, (sign * found).min(axis=1))
+        # every pass but the last only locates, as the scan does
+        us, found = grid, _quantile_vec(*shapes(grid), levels, warm, last > 0)
+    best = (sign * found).min(axis=1)
     return CredibilityUnion(lo=float(best[0]), hi=float(-best[1]), gamma=gamma)
