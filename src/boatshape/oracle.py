@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .inference import CredibilityUnion, _quantile_vec
 from .params import BinomialData, _require_finite
-from .shapes import EtaSet, _boundary_xy, _contains_mask, _geometry, updated
+from .shapes import EtaSet, _contains_mask, _geometry, updated
 
 #: Grid points tested per block: the oracle's memory stays flat in its resolution.
 _BLOCK = 1 << 16
@@ -45,7 +45,8 @@ class GridSpec:
 
 def _member_blocks(set_: EtaSet, g: GridSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The dense boundary sample, then each block's grid points passing membership."""
-    bx, by = _boundary_xy(set_, _geometry(set_.spec).dense_ts(4 * g.resolution))
+    geom = _geometry(set_.spec)
+    bx, by = (v + d for v, d in zip(geom.points(geom.dense_ts(4 * g.resolution)), set_.shift))
     yield bx, by
     xs = np.linspace(bx.min(), bx.max(), g.resolution)
     ys = np.linspace(by.min(), by.max(), g.resolution)

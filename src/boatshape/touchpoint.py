@@ -39,10 +39,12 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericError
 from .params import BinomialData, _require_finite, _two_prod
-from .shapes import (BoatshapeSpec, EtaSet, _boundary_xy, _frame, _require_admissible,
-                     _require_boat, _rotation_cs, _scan_xy)
+from .shapes import (BoatshapeSpec, EtaSet, _frame, _geometry, _require_admissible,
+                     _require_boat, _rotation_cs)
 
 _MAX_ITER = 200
+#: Coarse boundary scan density of the rectangle and segment shadow optimizer.
+_SCAN = 4096
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -299,32 +301,38 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-13) -> tuple[float, flo
     return best_t, best_f
 
 
-def _boundary_extremum(set_: EtaSet, sign: float) -> tuple[float, tuple[float, float]]:
-    """Extremum of the apex-ray ratio over the boundary: coarse scan plus
-    golden-section refinement of the bracketing sub-arc.  Returns the ratio at
-    the extremizer and the extremizing point."""
-    ts, x, y = _scan_xy(set_)
+def _boundary_extremum(points, ts, x, y, sign: float) -> tuple[float, tuple[float, float]]:
+    """Extremum of the apex-ray ratio over the boundary ``points``: the coarse
+    scan ``(ts, x, y)`` plus golden-section refinement of the bracketing
+    sub-arc.  Returns the ratio at the extremizer and the extremizing point."""
     vals = sign * (y / (x + 2.0))
     i = int(np.argmax(vals))
     t_prev = ts[i - 1] if i > 0 else ts[-1] - 1.0
     t_next = ts[i + 1] if i + 1 < len(ts) else ts[0] + 1.0
 
     def f(t: float) -> float:
-        xx, yy = _boundary_xy(set_, np.array([t]))
+        xx, yy = points(np.array([t]))
         return sign * float(yy[0] / (xx[0] + 2.0))
 
     t_best, f_best = _golden_max(f, float(t_prev), float(t_next))
     if vals[i] >= f_best:
         t_best, f_best = float(ts[i]), float(vals[i])
-    xx, yy = _boundary_xy(set_, np.array([t_best]))
+    xx, yy = points(np.array([t_best]))
     return sign * f_best, (float(xx[0]), float(yy[0]))
 
 
 def _numeric_shadow(set_: EtaSet) -> ShadowResult:
-    r_hi, p_hi = _boundary_extremum(set_, 1.0)
-    r_lo, p_lo = _boundary_extremum(set_, -1.0)
+    geom, (d0, d1) = _geometry(set_.spec), set_.shift
+
+    def points(ts):
+        x, y = geom.points(ts)
+        return x + d0, y + d1
+
+    ts = geom.dense_ts(_SCAN)
+    scan = (ts, *points(ts))
+    r_hi, p_hi = _boundary_extremum(points, *scan, 1.0)
+    r_lo, p_lo = _boundary_extremum(points, *scan, -1.0)
     spec = set_.spec
-    d0, d1 = set_.shift
     _, r0, r1, _, _ = _frame(spec)
     up = low = False  # a flat set (a segment) has no abscissa extent: nothing sticks
     if r1 > r0:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 from hypothesis import settings
@@ -51,6 +52,18 @@ def random_rotated_boat_spec(rng: np.random.Generator) -> BoatshapeSpec:
         b=rng.uniform(0.05, 2.5),
         y_c=y_c,
     )
+
+
+def refuse_geometry(monkeypatch) -> None:
+    """Make ``shapes._geometry`` raise in every loaded ``boatshape`` module that
+    imports it, so that a test can show an operation builds no boundary."""
+
+    def refuse(spec):
+        raise AssertionError("a boundary geometry was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "boatshape" and hasattr(module, "_geometry"):
+            monkeypatch.setattr(module, "_geometry", refuse)
 
 
 def exact_margin(set_: EtaSet) -> tuple[float, tuple[float, float]]:

@@ -27,9 +27,10 @@ from boatshape import (
     segment_set,
     shadow,
     updated,
+    validate,
 )
-from boatshape.shapes import _boundary_xy, _geometry
-from conftest import canonical_route_bounds, random_boat_spec
+from boatshape.shapes import _boundary_xy
+from conftest import canonical_route_bounds, random_boat_spec, refuse_geometry
 
 # Frozen from quadrature of the unnormalized kernel p^2 (1-p)^4 on [0, 1]
 # (see test_log_pdf_matches_quadrature_oracle).
@@ -518,16 +519,18 @@ class TestCredibilityUnion:
         credibility_union(rect, BinomialData(n, n), 0.9)
         assert len(cdf_rounds) <= 4
 
-    def test_union_builds_no_geometry(self):
-        fresh = [  # used nowhere else, so a geometry would be built anew
+    def test_union_builds_no_geometry(self, monkeypatch):
+        sets = [
             boat_set(-1.3, 13.0, 0.35, 0.55, 0.62),
             rectangle_set(1.7, 9.1, 0.23, 0.61),
             segment_set(5.3, 0.27, 0.71),
         ]
-        before = _geometry.cache_info()
-        for set_ in fresh:
+        refuse_geometry(monkeypatch)
+        for builds in (validate, shadow):  # the patch bites where a boundary is built
+            with pytest.raises(AssertionError):
+                builds(sets[1])
+        for set_ in sets:
             credibility_union(set_, BinomialData(7.0, 2.0), 0.8)
-        assert _geometry.cache_info() == before
 
 
 class TestNonFinite:

@@ -19,6 +19,7 @@ from boatshape import (
     boat_set,
     credibility_union,
     grid_shadow,
+    imprecision_delta,
     learning_phase,
     rectangle_set,
     segment_set,
@@ -47,6 +48,11 @@ def boat_on_ray(draw, y_c: float) -> EtaSet:
     eta0_lo = draw(unit(-1.8, 6.0))
     a = draw(unit(0.05, 0.95)) * admissible_half_width(eta0_lo, y_c)
     return boat_set(eta0_lo, eta0_lo + draw(unit(0.3, 25.0)), a, draw(unit(0.05, 2.5)), y_c)
+
+
+@st.composite
+def axis_boats(draw) -> EtaSet:
+    return boat_on_ray(draw, 0.5)
 
 
 @st.composite
@@ -219,3 +225,33 @@ def test_union_holds_every_boundary_endpoint(prior, d, gamma):
     q = _quantile_vec(half + y, half - y, levels)
     assert q[0].min() >= union.lo - 1e-10
     assert q[1].max() <= union.hi + 1e-10
+
+
+#: The paper's effect is read off ``Delta(s)`` at 81 values of ``s`` in [0, n].
+S_FRACTIONS = np.linspace(0.0, 1.0, 81)
+TRIALS = st.sampled_from((1.0, 4.0, 10.0, 100.0))
+
+
+def delta_curve(prior: EtaSet, n: float) -> np.ndarray:
+    return np.array([imprecision_delta(prior, BinomialData(n, f * n)) for f in S_FRACTIONS])
+
+
+@settings(max_examples=150)
+@given(st.one_of(axis_boats(), rotated_boats()), TRIALS)
+def test_boat_delta_is_quasi_convex_in_s(prior, n):
+    # conflict widens the posterior range on either side: non-increasing, then
+    # non-decreasing in s
+    deltas = delta_curve(prior, n)
+    k, steps = int(np.argmin(deltas)), np.diff(deltas)
+    assert (steps[:k] <= 1e-12).all() and (steps[k:] >= -1e-12).all()
+
+
+@settings(max_examples=150)
+@given(axis_boats(), TRIALS)
+def test_axis_boat_delta_is_least_in_the_agreement_window(prior, n):
+    th = agreement_thresholds(prior.spec, n)
+    if not th.happy_hi > th.happy_lo:
+        return  # no window of strong agreement at this n
+    s_min = n * S_FRACTIONS[int(np.argmin(delta_curve(prior, n)))]
+    spacing = n * S_FRACTIONS[1]
+    assert th.happy_lo - spacing <= s_min <= th.happy_hi + spacing

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from boatshape import (
     BinomialData,
@@ -26,11 +27,25 @@ from boatshape import (
     updated,
     validate,
 )
-from boatshape.shapes import _boundary_xy, _geometry
-from conftest import exact_margin, random_boat_spec, random_rotated_boat_spec
+from boatshape.shapes import _boundary_xy, _contour_arc, _geometry
+from conftest import exact_margin, random_boat_spec, random_rotated_boat_spec, refuse_geometry
 
 SMALL_BOAT = dict(eta0_lo=1.0, eta0_hi=6.0, a=1.5, b=0.9)
 LONG_BOAT = dict(eta0_lo=-1.0, eta0_hi=20.0, a=1.0, b=0.4)
+
+
+def arc_boats() -> list[BoatshapeSpec]:
+    """Two fixed boats and seeded random axis and rotated ones."""
+    rng = np.random.default_rng(71)
+    specs = [BoatshapeSpec(**SMALL_BOAT), BoatshapeSpec(**LONG_BOAT, y_c=0.6)]
+    return specs + [(random_boat_spec, random_rotated_boat_spec)[k % 2](rng) for k in range(24)]
+
+
+def contour_quad(spec: BoatshapeSpec, run: float) -> float:
+    """Length of a boat contour from the bow out to ``run``, by quadrature."""
+    ab, b = spec.a * spec.b, spec.b
+    return quad(lambda r: math.hypot(1.0, ab * math.exp(-b * r)), 0.0, run,
+                epsabs=0.0, epsrel=2.5e-14, limit=200)[0]
 
 
 class TestContours:
@@ -202,6 +217,40 @@ class TestBoundary:
         assert gaps.max() < 3.0 * gaps.mean()
 
 
+class TestExactArcLength:
+    def test_contour_length_matches_quadrature(self):
+        rises = []
+        for spec in arc_boats():
+            span = spec.eta0_hi - spec.eta0_lo
+            length = float(_contour_arc(span, spec.a * spec.b, spec.b)[0])
+            assert length == pytest.approx(contour_quad(spec, span), rel=1e-13, abs=0.0)
+            rises.append(spec.b * span)
+        assert max(rises) > 40.0  # the sample reaches long contours with sharp bows
+
+    def test_boundary_parameter_is_arc_length_fraction(self):
+        ts = (np.arange(64) + 0.5) / 64.0
+        for spec in arc_boats():
+            span = spec.eta0_hi - spec.eta0_lo
+            contour = contour_quad(spec, span)
+            stern = -2.0 * spec.a * math.expm1(-spec.b * span)
+            total = 2.0 * contour + stern
+            theta = math.atan(spec.y_c - 0.5)
+            c, s = math.cos(theta), math.sin(theta)
+            for t in ts:
+                p = boundary(EtaSet(spec), t)
+                # the point in the symmetry frame: run from the bow, ordinate
+                run = c * (p.eta0 + 2.0) + s * p.eta1 - (spec.eta0_lo + 2.0)
+                v = -s * (p.eta0 + 2.0) + c * p.eta1
+                ell = t * total
+                if ell <= contour:
+                    arc = contour_quad(spec, run)
+                elif ell <= contour + stern:
+                    arc = contour + 0.5 * stern - v
+                else:
+                    arc = total - contour_quad(spec, run)
+                assert abs(arc - ell) <= 1e-12 * total, (spec, t)
+
+
 class TestUpdating:
     def test_identity_update(self):
         s = boat_set(**SMALL_BOAT)
@@ -337,12 +386,13 @@ class TestValidation:
         boat_set(**LONG_BOAT, y_c=0.75)
         from_record({"kind": "boat", **SMALL_BOAT, "y_c": 0.35, "shift0": 3.0, "shift1": -1.0})
 
-    def test_construction_builds_no_geometry(self):
-        spec = dict(eta0_lo=-1.0, eta0_hi=17.0, a=0.7, b=0.45, y_c=0.6)  # used nowhere else
-        before = _geometry.cache_info()
+    def test_construction_builds_no_geometry(self, monkeypatch):
+        spec = dict(eta0_lo=-1.0, eta0_hi=17.0, a=0.7, b=0.45, y_c=0.6)
+        refuse_geometry(monkeypatch)
+        with pytest.raises(AssertionError):
+            validate(EtaSet(BoatshapeSpec(**spec)))  # the patch bites where a boundary is built
         boat_set(**spec)
         from_record({"kind": "boat", **spec, "shift0": 3.0, "shift1": 1.0})
-        assert _geometry.cache_info() == before
 
     def test_rectangles_always_ok(self):
         rng = np.random.default_rng(9)
